@@ -3,7 +3,7 @@
 //!
 //! Both execution modes drain one shared shard queue. **Spawn mode**
 //! runs up to [`RunConfig::workers`] `campaign-worker` child processes
-//! concurrently, each streaming `ItemResult` JSON lines on stdout and a
+//! concurrently, each streaming one JSON line per result on stdout and a
 //! final `{"done":true,...}` line; a child that exits without the done
 //! line (crash, kill, nonzero exit) has its shard pushed back and rerun
 //! by the next free slot, resuming from its per-shard checkpoint journal
@@ -14,24 +14,19 @@
 //! shard is requeued, so the remaining workers absorb its load.
 //!
 //! Results from any shard, attempt or transport funnel into one
-//! [`Merger`], which re-orders by global item index and rejects
+//! [`WireMerger`], which re-orders by global item index and rejects
 //! conflicting duplicates — the merged output is byte-identical to
-//! `campaign::run_serial` on the same spec, which the kill-a-worker
-//! tests and the CI smoke assert literally.
+//! [`serial_lines`] on the same spec, which the kill-a-worker tests and
+//! the CI smoke assert literally.
 //!
-//! The whole pipeline is generic over [`CampaignResult`]: a Pareto
-//! campaign shards front enumerations and merges [`ItemResult`]s, an SLO
-//! campaign (spec with a `failure` block) shards trace blocks and merges
-//! [`SloItemResult`]s into an `ltf_faultlab::SloReport`.
-//! Workers self-dispatch on the spec, so the supervision, wire format,
-//! retry and journaling machinery is shared verbatim between the two.
+//! The coordinator never asks which kind of campaign it runs (Pareto
+//! fronts or SLO trace blocks): it holds the spec as a
+//! `ltf_experiments::campaign::Campaign`, and only that campaign's merger
+//! decodes and renders the results.
 
-use ltf_experiments::campaign::{
-    build_slo_report, render_lines, run_serial, run_slo_serial, slo_cells, slo_work_items,
-    work_items, CampaignResult, CampaignSpec, ItemResult, Merger, SloItemResult,
-};
+use ltf_experiments::campaign::{campaign_of, CampaignSpec, WireMerger};
 use ltf_experiments::checkpoint::{as_bool, as_str, as_u64, field};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -63,7 +58,6 @@ pub struct RunConfig {
     pub journal_dir: Option<PathBuf>,
     /// Worker executable (spawn mode); defaults to this very binary
     /// (`current_exe`), which carries the `campaign-worker` subcommand.
-    /// `ltf-experiments` works too — the subcommand is identical.
     pub worker_bin: Option<PathBuf>,
     /// How many times a shard may be rerun after a crash before the
     /// campaign fails.
@@ -111,9 +105,8 @@ pub fn shard_journal(dir: &Path, k: usize, n: usize) -> PathBuf {
 /// Run the campaign distributed per `cfg` and merge the result.
 /// `spec_path` is the spec file handed to spawned workers (both sides
 /// re-expand it; connect mode embeds the parsed spec in the request
-/// instead). Dispatches on the campaign kind: specs with a `failure`
-/// block shard SLO trace blocks and merge the per-cell report, plain
-/// specs shard front enumerations — over the same supervision machinery.
+/// instead). The campaign's kind only shows in what its merger decodes
+/// and renders.
 pub fn run_campaign(
     spec_path: &Path,
     spec: &CampaignSpec,
@@ -122,60 +115,42 @@ pub fn run_campaign(
     if cfg.shards == 0 {
         return Err("campaign: shard count must be ≥ 1".into());
     }
-    let exps = spec.expand().map_err(|e| e.to_string())?;
+    let campaign = campaign_of(spec)?;
     if let Some(dir) = &cfg.journal_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("journal dir {}: {e}", dir.display()))?;
     }
-    if let Some(f) = &spec.failure {
-        let expected = slo_work_items(f, &slo_cells(&exps)).len();
-        let (results, retries_used) = drive::<SloItemResult>(spec_path, spec, cfg, expected)?;
-        let items = results.len();
-        let report = build_slo_report(spec, &results)?;
-        Ok(RunReport {
-            lines: report.json_lines(),
-            items,
-            retries_used,
-        })
-    } else {
-        let expected = work_items(&exps).len();
-        let (results, retries_used) = drive::<ItemResult>(spec_path, spec, cfg, expected)?;
-        let items = results.len();
-        Ok(RunReport {
-            lines: render_lines(&results),
-            items,
-            retries_used,
-        })
-    }
+    let (lines, retries_used) = drive(spec_path, spec, cfg, campaign.merger())?;
+    Ok(RunReport {
+        lines,
+        items: campaign.item_count(),
+        retries_used,
+    })
 }
 
-/// The serial golden reference for `spec`, whichever campaign kind it
-/// is: the rendered lines a distributed [`run_campaign`] must equal
-/// byte-for-byte (`--verify` asserts exactly this).
+/// The serial golden reference for `spec`: the rendered lines a
+/// distributed [`run_campaign`] must equal byte-for-byte (`--verify`
+/// asserts exactly this).
 pub fn serial_lines(
     spec: &CampaignSpec,
     threads: usize,
     journal: Option<&Path>,
 ) -> Result<Vec<String>, String> {
-    if spec.failure.is_some() {
-        Ok(run_slo_serial(spec, threads, journal)?.json_lines())
-    } else {
-        run_serial(spec, threads, journal)
-    }
+    campaign_of(spec)?.serial(threads, journal)
 }
 
-/// The transport- and kind-agnostic supervisor core: drain the shard
-/// queue through spawned workers or remote daemons, retry crashed
-/// shards, and merge every streamed result into global item order.
-fn drive<R: CampaignResult + Deserialize + Send>(
+/// The transport-agnostic supervisor core: drain the shard queue through
+/// spawned workers or remote daemons, retry crashed shards, and merge
+/// every streamed result into global item order.
+fn drive(
     spec_path: &Path,
     spec: &CampaignSpec,
     cfg: &RunConfig,
-    expected: usize,
-) -> Result<(Vec<R>, usize), String> {
+    merger: Box<dyn WireMerger + Send + '_>,
+) -> Result<(Vec<String>, usize), String> {
     // The shared shard queue: (shard index, attempts so far).
     let queue: Mutex<VecDeque<(usize, usize)>> =
         Mutex::new((0..cfg.shards).map(|k| (k, 0)).collect());
-    let merger: Mutex<Merger<R>> = Mutex::new(Merger::new(expected));
+    let merger = Mutex::new(merger);
     let retries_used = AtomicUsize::new(0);
     let fatal: Mutex<Option<String>> = Mutex::new(None);
 
@@ -209,9 +184,9 @@ fn drive<R: CampaignResult + Deserialize + Send>(
             queue.lock().unwrap().push_back((k, attempts + 1));
         }
     };
-    let absorb = |results: Vec<R>| {
+    let absorb = |results: Vec<Value>| {
         let mut m = merger.lock().unwrap();
-        for r in results {
+        for r in &results {
             if let Err(e) = m.insert(r) {
                 set_fatal(e);
                 return;
@@ -260,19 +235,15 @@ fn drive<R: CampaignResult + Deserialize + Send>(
     }
     // All workers retired with shards still queued (connect mode with
     // every address dead) surfaces here as missing items.
-    let results = merger.into_inner().unwrap().finish()?;
-    Ok((results, retries_used.into_inner()))
+    let lines = merger.into_inner().unwrap().finish()?;
+    Ok((lines, retries_used.into_inner()))
 }
 
 /// Run shard `k` as a child process, collecting its streamed results.
 /// Success requires both the `{"done":true,...}` line *and* a clean
 /// exit — a worker killed after its last item but before the done line
 /// still counts as crashed (its journal makes the rerun cheap).
-fn spawn_shard<R: CampaignResult + Deserialize>(
-    spec_path: &Path,
-    cfg: &RunConfig,
-    k: usize,
-) -> Result<Vec<R>, String> {
+fn spawn_shard(spec_path: &Path, cfg: &RunConfig, k: usize) -> Result<Vec<Value>, String> {
     let bin = match &cfg.worker_bin {
         Some(p) => p.clone(),
         None => std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?,
@@ -334,12 +305,12 @@ fn spawn_shard<R: CampaignResult + Deserialize>(
 }
 
 /// One parsed worker stdout line.
-enum WorkerLine<R> {
-    Result(R),
+enum WorkerLine {
+    Result(Value),
     Done { items: u64 },
 }
 
-fn parse_worker_line<R: Deserialize>(line: &str) -> Option<WorkerLine<R>> {
+fn parse_worker_line(line: &str) -> Option<WorkerLine> {
     let v: Value = serde_json::from_str(line).ok()?;
     if let Some(done) = field(&v, "done").and_then(as_bool) {
         if done {
@@ -348,7 +319,7 @@ fn parse_worker_line<R: Deserialize>(line: &str) -> Option<WorkerLine<R>> {
         }
         return None;
     }
-    R::from_value(&v).ok().map(WorkerLine::Result)
+    Some(WorkerLine::Result(v))
 }
 
 /// The `{"cmd":"shard",...}` request line for shard `k` of `n`, with the
@@ -363,9 +334,9 @@ pub fn shard_request_line(spec: &CampaignSpec, k: usize, n: usize, id: u64) -> S
     serde_json::to_string(&v).expect("value writer is infallible")
 }
 
-/// Decode a `shard` response line into its results, surfacing protocol
-/// errors (`"ok":false` replies) as text.
-pub fn parse_shard_response<R: Deserialize>(line: &str) -> Result<Vec<R>, String> {
+/// Split a `shard` response line into its wire-form results, surfacing
+/// protocol errors (`"ok":false` replies) as text.
+pub fn parse_shard_response(line: &str) -> Result<Vec<Value>, String> {
     let v: Value =
         serde_json::from_str(line).map_err(|e| format!("unparseable shard response: {e}"))?;
     if field(&v, "ok").and_then(as_bool) != Some(true) {
@@ -376,20 +347,17 @@ pub fn parse_shard_response<R: Deserialize>(line: &str) -> Result<Vec<R>, String
     let Some(Value::Seq(items)) = field(&v, "results") else {
         return Err("shard response has no results array".into());
     };
-    items
-        .iter()
-        .map(|r| R::from_value(r).map_err(|e| format!("bad result in response: {e}")))
-        .collect()
+    Ok(items.clone())
 }
 
 /// Run shard `k` remotely: one TCP connection, one request line, one
 /// response line.
-fn connect_shard<R: CampaignResult + Deserialize>(
+fn connect_shard(
     addr: &str,
     spec: &CampaignSpec,
     n: usize,
     k: usize,
-) -> Result<Vec<R>, String> {
+) -> Result<Vec<Value>, String> {
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let req = shard_request_line(spec, k, n, k as u64);
@@ -410,6 +378,8 @@ fn connect_shard<R: CampaignResult + Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltf_experiments::campaign::{ItemResult, SloItemResult};
+    use serde::Deserialize;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::parse(
@@ -433,7 +403,7 @@ mod tests {
 
     #[test]
     fn shard_response_errors_are_surfaced() {
-        let err = parse_shard_response::<ItemResult>(
+        let err = parse_shard_response(
             r#"{"ok":false,"error":"bad-request","message":"spec: axis \"graphs\" is empty"}"#,
         )
         .unwrap_err();
@@ -441,23 +411,24 @@ mod tests {
             err.contains("bad-request") && err.contains("graphs"),
             "{err}"
         );
-        let err = parse_shard_response::<ItemResult>("not json").unwrap_err();
+        let err = parse_shard_response("not json").unwrap_err();
         assert!(err.contains("unparseable"), "{err}");
-        let err = parse_shard_response::<ItemResult>(r#"{"ok":true}"#).unwrap_err();
+        let err = parse_shard_response(r#"{"ok":true}"#).unwrap_err();
         assert!(err.contains("no results"), "{err}");
     }
 
     #[test]
     fn worker_lines_parse_results_done_and_noise() {
         assert!(matches!(
-            parse_worker_line::<ItemResult>(r#"{"done":true,"shard":"0/2","items":3}"#),
+            parse_worker_line(r#"{"done":true,"shard":"0/2","items":3}"#),
             Some(WorkerLine::Done { items: 3 })
         ));
-        assert!(parse_worker_line::<ItemResult>("garbage").is_none());
-        assert!(parse_worker_line::<ItemResult>(r#"{"done":false}"#).is_none());
+        assert!(parse_worker_line("garbage").is_none());
+        assert!(parse_worker_line(r#"{"done":false}"#).is_none());
         let r = r#"{"item":4,"experiment":1,"label":"fig1/rltf/eps=all","seed":9,"rows":[]}"#;
-        match parse_worker_line::<ItemResult>(r) {
-            Some(WorkerLine::Result(ir)) => {
+        match parse_worker_line(r) {
+            Some(WorkerLine::Result(v)) => {
+                let ir = ItemResult::from_value(&v).unwrap();
                 assert_eq!(ir.item, 4);
                 assert_eq!(ir.label, "fig1/rltf/eps=all");
             }
@@ -465,8 +436,9 @@ mod tests {
         }
         // SLO worker lines ride the same wire with a different payload.
         let r = r#"{"item":2,"cell":1,"label":"fig1/rltf/eps=0/inst=0","feasible":false,"stats":{"traces":0,"items":0,"produced":0,"lost":0,"violations":0,"latency":{"buckets":[],"count":0,"min":null,"max":null}}}"#;
-        match parse_worker_line::<SloItemResult>(r) {
-            Some(WorkerLine::Result(sr)) => {
+        match parse_worker_line(r) {
+            Some(WorkerLine::Result(v)) => {
+                let sr = SloItemResult::from_value(&v).unwrap();
                 assert_eq!(sr.item, 2);
                 assert!(!sr.feasible);
             }

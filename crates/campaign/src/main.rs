@@ -19,7 +19,7 @@
 
 use ltf_campaign::{run_campaign, serial_lines, Mode, RunConfig};
 use ltf_core::shard::Shard;
-use ltf_experiments::campaign::{slo_cells, slo_work_items, work_items, worker_main, CampaignSpec};
+use ltf_experiments::campaign::{campaign_of, worker_main, CampaignSpec};
 use std::path::PathBuf;
 
 #[derive(Debug)]
@@ -160,8 +160,7 @@ fn print_usage() {
          \x20                  repeatable — one in-flight shard per address)\n\
          \x20 --journal-dir D  per-shard checkpoint journals in D (crash resume)\n\
          \x20 --out FILE       write merged front lines to FILE (default stdout)\n\
-         \x20 --worker-bin P   worker executable (default: this binary;\n\
-         \x20                  target/release/ltf-experiments works too)\n\
+         \x20 --worker-bin P   worker executable (default: this binary)\n\
          \x20 --threads N      worker threads per process (default 1)\n\
          \x20 --retries N      shard rerun budget after crashes (default 3)\n\
          \x20 --verify         also run serially and fail unless byte-identical\n\
@@ -275,46 +274,8 @@ fn run(o: &Opts) {
 
 fn expand(o: &Opts) {
     let (_, spec) = require_spec(o);
-    let exps = match spec.expand() {
-        Ok(e) => e,
-        Err(e) => fail(&e.to_string()),
-    };
-    for exp in &exps {
-        println!(
-            "{:>4}  {}  [{} instance(s)]",
-            exp.index, exp.label, exp.instances
-        );
-    }
-    if let Some(f) = &spec.failure {
-        // SLO campaign: the unit of work is the trace block, cell-major.
-        let cells = slo_cells(&exps);
-        let items = slo_work_items(f, &cells);
-        for cell in &cells {
-            println!(
-                "cell {:>4}  {}  [seed {}]",
-                cell.index, cell.label, cell.seed
-            );
-        }
-        println!(
-            "slo campaign {:?}: {} experiment(s), {} cell(s), {} trace(s)/cell \
-             in {} block(s), signature {:016x}",
-            spec.name,
-            exps.len(),
-            cells.len(),
-            f.traces(),
-            items.len(),
-            spec.signature()
-        );
-        return;
-    }
-    let items = work_items(&exps);
-    println!(
-        "campaign {:?}: {} experiment(s), {} work item(s), signature {:016x}",
-        spec.name,
-        exps.len(),
-        items.len(),
-        spec.signature()
-    );
+    let campaign = campaign_of(&spec).unwrap_or_else(|e| fail(&e));
+    println!("{}", campaign.expand_lines().join("\n"));
 }
 
 fn worker(o: &Opts) {

@@ -5,7 +5,7 @@
 //! from the checkpoint journal.
 
 use ltf_campaign::{run_campaign, serial_lines, Mode, RunConfig};
-use ltf_experiments::campaign::{run_serial, CampaignSpec, ABORT_ENV};
+use ltf_experiments::campaign::{CampaignSpec, ABORT_ENV};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -75,7 +75,7 @@ fn two_spawned_workers_match_serial_byte_for_byte() {
     let spec_path = write_spec(&dir);
     let spec = CampaignSpec::load(&spec_path).unwrap();
 
-    let serial = run_serial(&spec, 1, None).unwrap();
+    let serial = serial_lines(&spec, 1, None).unwrap();
     let report = run_campaign(&spec_path, &spec, &spawn_config(&dir)).unwrap();
 
     assert!(!serial.is_empty());
@@ -89,7 +89,7 @@ fn killed_worker_is_reassigned_and_output_is_identical() {
     let dir = scratch("kill");
     let spec_path = write_spec(&dir);
     let spec = CampaignSpec::load(&spec_path).unwrap();
-    let serial = run_serial(&spec, 1, None).unwrap();
+    let serial = serial_lines(&spec, 1, None).unwrap();
 
     // Arm the crash hook: the first worker incarnation to emit an item
     // creates the marker and hard-aborts; every later incarnation sees
@@ -244,7 +244,7 @@ fn tcp_workers_match_serial_byte_for_byte() {
     let dir = scratch("tcp");
     let spec_path = write_spec(&dir);
     let spec = CampaignSpec::load(&spec_path).unwrap();
-    let serial = run_serial(&spec, 1, None).unwrap();
+    let serial = serial_lines(&spec, 1, None).unwrap();
 
     let cfg = RunConfig {
         shards: 2,
@@ -264,7 +264,7 @@ fn dead_address_is_absorbed_by_the_surviving_worker() {
     let dir = scratch("dead-addr");
     let spec_path = write_spec(&dir);
     let spec = CampaignSpec::load(&spec_path).unwrap();
-    let serial = run_serial(&spec, 1, None).unwrap();
+    let serial = serial_lines(&spec, 1, None).unwrap();
 
     // Bind-then-drop: a port that refuses connections.
     let dead = {

@@ -1,11 +1,8 @@
-//! Legacy free-function entry points and the prepared problem instance.
+//! The prepared problem instance and the two paper algorithms over it.
 //!
-//! The free functions ([`ltf_schedule`], [`rltf_schedule`], [`schedule_with`],
-//! [`fault_free_reference`]) predate the [`Solver`](crate::Solver) /
-//! [`Heuristic`](crate::Heuristic) API and are kept as thin deprecated
-//! shims so downstream code migrates incrementally; each one is equivalent
-//! to a single [`Solver`](crate::Solver) call (see the crate-level docs for
-//! the migration table).
+//! [`Ltf`](crate::Ltf) and [`Rltf`](crate::Rltf) dispatch here through the
+//! [`Heuristic`](crate::Heuristic) trait; [`schedule_with_reference`] runs
+//! the frozen reference engine, the differential oracle.
 
 use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
 use crate::convert;
@@ -17,27 +14,11 @@ use ltf_platform::Platform;
 use ltf_schedule::Schedule;
 use std::sync::OnceLock;
 
-/// The **LTF** algorithm (paper §4.1, Algorithm 4.1): forward chunked list
-/// mapping with the one-to-one replication procedure and minimum-finish-
-/// time processor selection, under the throughput constraint
-/// `T = 1/cfg.period` and fault-tolerance degree `cfg.epsilon`.
-///
-/// Fails with [`ScheduleError::Infeasible`] when some replica cannot be
-/// placed without exceeding the period — the behaviour the paper
-/// demonstrates on the Fig. 2 example with 8 processors.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builtin(g, p).solve(\"ltf\", cfg)` or `Ltf.schedule(&PreparedInstance::new(g, p), cfg)`"
-)]
-pub fn ltf_schedule(
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    ltf_cached(&PreparedInstance::new(g, p), cfg)
-}
-
-/// LTF over a prepared instance, reusing its forward level cache.
+/// The **LTF** algorithm (paper §4.1, Algorithm 4.1) over a prepared
+/// instance, reusing its forward level cache: forward chunked list mapping
+/// with the one-to-one replication procedure and minimum-finish-time
+/// processor selection, under the throughput constraint `T = 1/cfg.period`
+/// and fault-tolerance degree `cfg.epsilon`.
 pub(crate) fn ltf_cached(
     inst: &PreparedInstance<'_>,
     cfg: &AlgoConfig,
@@ -54,24 +35,11 @@ pub(crate) fn ltf_cached(
     ))
 }
 
-/// The **R-LTF** algorithm (paper §4.2): bottom-up traversal of the
-/// application graph guided by Rule 1 (never grow the pipeline stage count
-/// when avoidable) and Rule 2 (one-to-one replica spreading on linear chain
+/// The **R-LTF** algorithm (paper §4.2) over a prepared instance, reusing
+/// its reversed graph, level cache and reversal slot table: bottom-up
+/// traversal guided by Rule 1 (never grow the pipeline stage count when
+/// avoidable) and Rule 2 (one-to-one replica spreading on linear chain
 /// sections), minimizing the pipeline latency `L = (2S − 1)/T`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builtin(g, p).solve(\"rltf\", cfg)` or `Rltf.schedule(&PreparedInstance::new(g, p), cfg)`"
-)]
-pub fn rltf_schedule(
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    rltf_cached(&PreparedInstance::new(g, p), cfg)
-}
-
-/// R-LTF over a prepared instance, reusing its reversed graph, level cache
-/// and reversal slot table.
 pub(crate) fn rltf_cached(
     inst: &PreparedInstance<'_>,
     cfg: &AlgoConfig,
@@ -86,24 +54,6 @@ pub(crate) fn rltf_cached(
         cfg.epsilon,
         cfg.period,
     ))
-}
-
-/// Dispatch by [`AlgoKind`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builtin(g, p).solve(kind.name(), cfg)` or `kind.heuristic().schedule(..)`"
-)]
-pub fn schedule_with(
-    kind: AlgoKind,
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    let inst = PreparedInstance::new(g, p);
-    match kind {
-        AlgoKind::Ltf => ltf_cached(&inst, cfg),
-        AlgoKind::Rltf => rltf_cached(&inst, cfg),
-    }
 }
 
 /// A `(graph, platform)` pair with the period-independent derivations —
@@ -187,36 +137,6 @@ impl<'a> PreparedInstance<'a> {
             slots
         })
     }
-
-    /// Schedule with the chosen built-in heuristic, reusing the cached
-    /// derivations.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `kind.heuristic().schedule(self, cfg)` or go through a `Solver`"
-    )]
-    pub fn schedule(&self, kind: AlgoKind, cfg: &AlgoConfig) -> Result<Schedule, ScheduleError> {
-        match kind {
-            AlgoKind::Ltf => ltf_cached(self, cfg),
-            AlgoKind::Rltf => rltf_cached(self, cfg),
-        }
-    }
-}
-
-/// The **fault-free reference schedule** of §5: R-LTF without replication
-/// (`ε = 0`), assuming a completely safe system. The paper's overhead
-/// metric is `(L_algo − L_FF) / L_FF` against this schedule's latency.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builtin(g, p).solve(\"fault-free\", cfg)` (the heuristic forces ε = 0)"
-)]
-pub fn fault_free_reference(
-    g: &TaskGraph,
-    p: &Platform,
-    period: f64,
-    seed: u64,
-) -> Result<Schedule, ScheduleError> {
-    let cfg = AlgoConfig::new(0, period).seeded(seed);
-    rltf_cached(&PreparedInstance::new(g, p), &cfg)
 }
 
 /// Schedule through the frozen snapshot-based reference implementation

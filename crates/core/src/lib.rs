@@ -50,10 +50,6 @@
 //! Pareto-front enumeration over (latency, period, ε, processors), with
 //! latency-cap / processor-budget variants and a cross-heuristic merge
 //! over a whole [`Solver`] registry.
-//!
-//! The pre-`Solver` free functions ([`ltf_schedule()`](ltf_schedule()),
-//! [`rltf_schedule`], [`schedule_with`], [`fault_free_reference`]) remain
-//! as deprecated shims; see the README's migration table.
 
 #[cfg(test)]
 mod alloc_probe;
@@ -70,11 +66,7 @@ pub mod shard;
 pub mod solver;
 pub mod stats;
 
-#[allow(deprecated)]
-pub use crate::api::{
-    fault_free_reference, ltf_schedule, rltf_schedule, schedule_with, schedule_with_reference,
-    PreparedInstance,
-};
+pub use crate::api::{schedule_with_reference, PreparedInstance};
 pub use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
 pub use crate::prio::LevelCache;
 pub use crate::solver::{

@@ -46,7 +46,7 @@
 pub mod pareto;
 
 use crate::api::PreparedInstance;
-use crate::config::{AlgoConfig, AlgoKind};
+use crate::config::AlgoConfig;
 use crate::solver::Heuristic;
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
@@ -75,50 +75,6 @@ impl Default for SearchOptions {
             iterations: 40,
             seed: 0xC0FFEE,
         }
-    }
-}
-
-/// Options for the deprecated [`AlgoKind`]-based search shims.
-#[deprecated(since = "0.1.0", note = "use `SearchOptions` plus a `&dyn Heuristic`")]
-#[derive(Debug, Clone)]
-pub struct MinPeriodOptions {
-    /// Which built-in heuristic to drive.
-    pub kind: AlgoKind,
-    /// Fault-tolerance degree.
-    pub epsilon: u8,
-    /// Optional latency budget.
-    pub max_latency: Option<f64>,
-    /// Binary search iterations after bracketing.
-    pub iterations: u32,
-    /// Tie-breaking seed passed to the heuristic.
-    pub seed: u64,
-}
-
-#[allow(deprecated)]
-impl Default for MinPeriodOptions {
-    fn default() -> Self {
-        Self {
-            kind: AlgoKind::Rltf,
-            epsilon: 0,
-            max_latency: None,
-            iterations: 40,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl MinPeriodOptions {
-    fn split(&self) -> (&'static dyn Heuristic, SearchOptions) {
-        (
-            self.kind.heuristic(),
-            SearchOptions {
-                epsilon: self.epsilon,
-                max_latency: self.max_latency,
-                iterations: self.iterations,
-                seed: self.seed,
-            },
-        )
     }
 }
 
@@ -283,51 +239,4 @@ pub fn min_processors(
         }
     }
     Some((hi, best))
-}
-
-/// Deprecated [`AlgoKind`]-based shim for [`min_period`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `min_period(g, p, kind.heuristic(), &SearchOptions { .. })`"
-)]
-#[allow(deprecated)]
-pub fn min_period_kind(
-    g: &TaskGraph,
-    p: &Platform,
-    opts: &MinPeriodOptions,
-) -> Option<(f64, Schedule)> {
-    let (h, sopts) = opts.split();
-    min_period(g, p, h, &sopts)
-}
-
-/// Deprecated [`AlgoKind`]-based shim for [`max_epsilon`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `max_epsilon(g, p, kind.heuristic(), period, max_latency, seed)`"
-)]
-pub fn max_epsilon_kind(
-    g: &TaskGraph,
-    p: &Platform,
-    kind: AlgoKind,
-    period: f64,
-    max_latency: Option<f64>,
-    seed: u64,
-) -> Option<(u8, Schedule)> {
-    max_epsilon(g, p, kind.heuristic(), period, max_latency, seed)
-}
-
-/// Deprecated [`AlgoKind`]-based shim for [`min_processors`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `min_processors(g, p, kind.heuristic(), epsilon, period, seed)`"
-)]
-pub fn min_processors_kind(
-    g: &TaskGraph,
-    p: &Platform,
-    kind: AlgoKind,
-    epsilon: u8,
-    period: f64,
-    seed: u64,
-) -> Option<(usize, Schedule)> {
-    min_processors(g, p, kind.heuristic(), epsilon, period, seed)
 }

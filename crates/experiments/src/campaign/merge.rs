@@ -1,28 +1,22 @@
-//! Merging per-shard results back into one campaign front.
+//! Merging per-shard results back into one campaign.
 //!
-//! The [`Merger`] collects [`ItemResult`]s from any number of shards (in
-//! any arrival order) into the global work-item order, refusing to finish
+//! The [`Merger`] collects results from any number of shards (in any
+//! arrival order) into the global work-item order, refusing to finish
 //! while items are missing and refusing *conflicting duplicates*
 //! outright: a work item computed twice — a retried shard, a journal
 //! replay racing a recompute — must produce bit-identical results, so a
 //! mismatch is a determinism violation worth failing loudly over, never
-//! something to paper over by picking one. [`render_lines`] then turns
-//! the merged results into the canonical JSON-lines output, which is what
-//! the byte-identity guarantee is stated over: a distributed run's
-//! rendered merge equals [`run_serial`]'s output exactly.
+//! something to paper over by picking one. The campaign kind then renders
+//! the merged results into the canonical output lines, which is what the
+//! byte-identity guarantee is stated over.
 
-use super::spec::CampaignSpec;
-use super::worker::{run_shard, work_items, ItemResult};
-use ltf_core::shard::Shard;
-use serde::{Serialize, Value};
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// What the merger needs from a campaign work-item result. Pareto
-/// campaigns merge [`ItemResult`]s, SLO campaigns merge
-/// [`super::slo::SloItemResult`]s; the merge discipline — global item
-/// order, conflicting duplicates are determinism violations — is
-/// identical, so the [`Merger`] is generic over it.
+/// campaigns merge [`super::ItemResult`]s, SLO campaigns merge
+/// [`super::SloItemResult`]s; the merge discipline — global item order,
+/// conflicting duplicates are determinism violations — is identical, so
+/// the [`Merger`] is generic over it.
 pub trait CampaignResult: Clone + PartialEq + std::fmt::Debug {
     /// Global work-item index (the merge key).
     fn item_index(&self) -> u64;
@@ -30,19 +24,9 @@ pub trait CampaignResult: Clone + PartialEq + std::fmt::Debug {
     fn summary(&self) -> String;
 }
 
-impl CampaignResult for ItemResult {
-    fn item_index(&self) -> u64 {
-        self.item
-    }
-
-    fn summary(&self) -> String {
-        format!("{} rows, label {:?}", self.rows.len(), self.label)
-    }
-}
-
 /// Accumulates per-item results from all shards of a campaign.
 #[derive(Debug)]
-pub struct Merger<R: CampaignResult = ItemResult> {
+pub struct Merger<R: CampaignResult = super::ItemResult> {
     expected: usize,
     results: BTreeMap<u64, R>,
 }
@@ -119,50 +103,4 @@ impl<R: CampaignResult> Merger<R> {
         }
         Ok(self.results.into_values().collect())
     }
-}
-
-/// Render one item's front rows as output lines: each row becomes a flat
-/// JSON object prefixed with the experiment label and item index.
-pub fn render_item(r: &ItemResult) -> Vec<String> {
-    r.rows
-        .iter()
-        .map(|row| {
-            let mut fields = vec![
-                ("experiment".to_string(), Value::Str(r.label.clone())),
-                ("item".to_string(), Value::UInt(r.item)),
-            ];
-            match row.to_value() {
-                Value::Map(m) => fields.extend(m),
-                other => fields.push(("row".to_string(), other)),
-            }
-            serde_json::to_string(&Value::Map(fields)).expect("value writer is infallible")
-        })
-        .collect()
-}
-
-/// Render merged results (global item order) into the canonical campaign
-/// output: one JSON line per front row.
-pub fn render_lines(results: &[ItemResult]) -> Vec<String> {
-    results.iter().flat_map(render_item).collect()
-}
-
-/// Run the whole campaign in this process and render its output — the
-/// golden reference every distributed run is compared against. Implemented
-/// as the trivial one-shard run through the exact same worker and merge
-/// path, so "serial equals distributed" is structural, not coincidental.
-pub fn run_serial(
-    spec: &CampaignSpec,
-    threads: usize,
-    journal: Option<&Path>,
-) -> Result<Vec<String>, String> {
-    let expected = work_items(&spec.expand().map_err(|e| e.to_string())?).len();
-    let mut collected = Vec::new();
-    run_shard(spec, Shard::solo(), threads, journal, |r| {
-        collected.push(r.clone());
-    })?;
-    let mut merger = Merger::new(expected);
-    for r in collected {
-        merger.insert(r)?;
-    }
-    Ok(render_lines(&merger.finish()?))
 }

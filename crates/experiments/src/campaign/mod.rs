@@ -4,39 +4,42 @@
 //! A campaign is described by a JSON [`spec`] file (graph
 //! families × heuristics × ε ranges × platform sizes × instance counts),
 //! expanded into an ordered experiment matrix and flattened into a global
-//! work-item list. The [`worker`] side runs one round-robin
-//! shard of that list — journaling each completed item to a PR 5
-//! checkpoint so a killed worker resumes instead of recomputing — and the
-//! [`merge`] side recombines per-shard results into output
-//! **byte-identical** to a single-process run, failing loudly on missing
-//! items or nondeterministic duplicates.
+//! work-item list. One [`pipeline`] runs every campaign: its shard runner
+//! executes one round-robin shard of the item list — journalling each
+//! completed item to a checkpoint so a killed worker resumes instead of
+//! recomputing — and the [`merge`] side recombines per-shard results into
+//! output **byte-identical** to a single-process run, failing loudly on
+//! missing items or nondeterministic duplicates.
 //!
-//! Specs with a `failure` block run the [`slo`] pipeline instead: cells
-//! solve one witness schedule each and replay sampled crash traces
-//! through it, aggregating SLO distribution statistics (`ltf-faultlab`)
-//! under the same sharding, checkpointing, and byte-identity discipline.
+//! Two [`CampaignKind`]s plug into it. A plain spec is a [`pareto`]
+//! campaign: one front enumeration per item. A spec with a `failure` block
+//! is an [`slo`] campaign: cells solve one witness schedule each and
+//! replay sampled crash traces through it, aggregating SLO distribution
+//! statistics (`ltf-faultlab`). [`Kind::of`] makes that decision, and
+//! nothing else does.
 //!
 //! The `ltf-campaign` binary builds the multi-process coordinator
-//! (spawned workers or remote LDJSON shards) on top of exactly these
-//! pieces; `ltf-experiments campaign-worker` exposes the shard runner as
-//! a subcommand. See `docs/campaign-spec.md` for the spec format,
+//! (spawned `campaign-worker` children or remote LDJSON shards) on top of
+//! exactly these pieces. See `docs/campaign-spec.md` for the spec format,
 //! `docs/slo-campaign.md` for SLO campaigns, and `ARCHITECTURE.md` for
 //! where campaigns sit in the stack.
 
 pub mod merge;
+pub mod pareto;
+pub mod pipeline;
 pub mod slo;
 pub mod spec;
-pub mod worker;
 
-pub use merge::{render_item, render_lines, run_serial, CampaignResult, Merger};
+pub use merge::{CampaignResult, Merger};
+pub use pareto::{render_item, render_lines, work_items, ItemResult, ParetoKind, WorkItem};
+pub use pipeline::{
+    campaign_of, journal_key, run_serial, run_shard, worker_main, Campaign, CampaignKind, Kind,
+    WireMerger, ABORT_ENV,
+};
 pub use slo::{
-    build_slo_report, compute_slo_item, run_slo_serial, run_slo_shard, slo_cells, slo_journal_key,
-    slo_work_items, SloCell, SloItemResult, SloWorkItem,
+    build_slo_report, slo_cells, slo_work_items, SloCell, SloItemResult, SloKind, SloWorkItem,
 };
 pub use spec::{
     CampaignSpec, EpsRange, Experiment, FailureSpec, SloSpec, SpecError, TopologyShape,
     TopologySpec, DEFAULT_SEED,
-};
-pub use worker::{
-    compute_item, journal_key, run_shard, work_items, worker_main, ItemResult, WorkItem, ABORT_ENV,
 };

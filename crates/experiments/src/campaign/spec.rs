@@ -25,7 +25,7 @@ pub const DEFAULT_SEED: u64 = 0xB10B5EED;
 /// One inclusive ε band of the sweep. Both bounds optional: `{}` means
 /// the full `0..=m−1` range, `{"min": 1}` drops the fault-free row,
 /// `{"max": 2}` caps the degree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EpsRange {
     /// Smallest swept ε (default 0).
     pub min: Option<u8>,
@@ -215,9 +215,9 @@ pub struct SloSpec {
 ///
 /// A spec with a `failure` block is an **SLO campaign** instead of a
 /// Pareto campaign: each cell solves one witness schedule and replays
-/// sampled crash traces through it (`ltf-experiments slo`, or any
-/// campaign worker — the worker entry points dispatch on the block).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// sampled crash traces through it (`ltf-experiments slo`, or
+/// `ltf-campaign`; [`super::Kind::of`] dispatches on the block).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Campaign name: prefixes journal keys and output labels.
     pub name: String,
@@ -372,12 +372,10 @@ impl CampaignSpec {
     pub fn expand(&self) -> Result<Vec<Experiment>, SpecError> {
         self.validate()?;
         let instances = self.instances.unwrap_or(1);
-        let epsilons = self.epsilons.clone().unwrap_or_else(|| {
-            vec![EpsRange {
-                min: None,
-                max: None,
-            }]
-        });
+        let epsilons = self
+            .epsilons
+            .clone()
+            .unwrap_or_else(|| vec![EpsRange::default()]);
         let procs_axis = self.platform_procs.clone().unwrap_or_else(|| vec![20]);
         let util_axis = self.utilizations.clone().unwrap_or_else(|| vec![0.25]);
         let gran_axis = self.granularities.clone().unwrap_or_else(|| vec![1.0]);
@@ -532,7 +530,7 @@ impl CampaignSpec {
             }
         }
         // The registry is instance-independent; probe it on the smallest
-        // worked example (same trick as `workload_sweep`'s pre-check).
+        // worked example.
         let g = fig1_diamond();
         let p = Platform::fig1_platform();
         let solver = full_solver(&g, &p);
@@ -579,10 +577,19 @@ impl CampaignSpec {
                         "\"failure.rates\" entry {bad} must be a non-negative finite number"
                     )));
                 }
-                for &m in self.platform_procs.as_deref().unwrap_or(&[20]) {
-                    if self.graphs.iter().any(|g| g == "workload") && m != rs.len() {
+                // Every cell replays on its family's platform: the swept
+                // `platform_procs` for workloads, the pinned size for figs.
+                for graph in &self.graphs {
+                    let sizes = match ParetoInstance::parse(graph).expect("validated") {
+                        ParetoInstance::Workload => {
+                            self.platform_procs.clone().unwrap_or_else(|| vec![20])
+                        }
+                        fig => vec![fig.build(0, 0.25).1.num_procs()],
+                    };
+                    if let Some(m) = sizes.into_iter().find(|&m| m != rs.len()) {
                         return Err(SpecError::BadValue(format!(
-                            "\"failure.rates\" has {} entries but \"platform_procs\" sweeps m={m}",
+                            "\"failure.rates\" has {} entries but {graph:?} cells have m={m} \
+                             processors",
                             rs.len()
                         )));
                     }

@@ -12,21 +12,22 @@
 //! * [`ablation`] — design ablations (Rule 1, Rule 2, one-to-one, chunk
 //!   size).
 //! * [`pareto`] — Pareto-front enumeration over (latency, period, ε,
-//!   processors) on the worked examples or the §5 workload, including the
-//!   thousands-of-instances [`pareto::workload_sweep`].
+//!   processors) on the worked examples or the §5 workload.
 //! * [`checkpoint`] — streamed JSON-lines journals with kill-safe
 //!   resume-on-restart for the long-running sweeps.
 //! * [`campaign`] — declarative JSON campaign specs expanded into an
 //!   experiment matrix, run as round-robin shards over the checkpoint
-//!   journals, and merged back byte-identical to a serial run (the
+//!   journals, and merged back byte-identical to a serial run. It is the
+//!   one pipeline behind Pareto campaigns, SLO campaigns and the
+//!   thousands-of-instances `pareto --graph workload` sweep (the
 //!   `ltf-campaign` coordinator drives multiple worker processes through
-//!   this module).
+//!   it).
 //! * [`stats`], [`ascii`] — aggregation, CSV and terminal charts.
 //!
 //! The `ltf-experiments` binary exposes all of this on the command line;
 //! `cargo run -p ltf-experiments --release -- all` regenerates every
-//! figure of the paper, and `ltf-experiments campaign-worker` runs one
-//! shard of a campaign spec (see `docs/campaign-spec.md`).
+//! figure of the paper. Distributed campaigns and their worker processes
+//! run through `ltf-campaign` (see `docs/campaign-spec.md`).
 
 pub mod ablation;
 pub mod ascii;

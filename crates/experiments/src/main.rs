@@ -13,7 +13,6 @@
 //!   fig4      granularity sweep, ε = 3 (panels a, b, c + feasibility)
 //!   solve     one paper-workload instance through the Solver registry
 //!   pareto    Pareto front over (latency, period, ε, processors)
-//!   campaign-worker  one shard of a declarative campaign spec
 //!   slo       stochastic failure campaign with SLO distribution report
 //!   scaling   runtime scaling vs v, m, ε (Theorem 1)
 //!   ablation  design ablations (Rule 1 / Rule 2 / one-to-one / chunk)
@@ -55,7 +54,6 @@ struct Opts {
     checkpoint: Option<PathBuf>,
     spec: Option<PathBuf>,
     topology: Option<PathBuf>,
-    shard: ltf_core::shard::Shard,
 }
 
 /// Pull the next argument as `flag`'s value and parse it, turning both
@@ -103,7 +101,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
         checkpoint: None,
         spec: None,
         topology: None,
-        shard: ltf_core::shard::Shard::solo(),
     };
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
@@ -156,7 +153,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
                     "a topology spec path",
                 )?))
             }
-            "--shard" => opts.shard = take(args, "--shard", "K/N (shard K of N)")?,
             "--help" | "-h" => {
                 opts.command = "help".into();
                 return Ok(opts);
@@ -455,6 +451,11 @@ fn run_pareto(o: &Opts) {
         );
         std::process::exit(2);
     };
+    // Workload-scale sweeps (--instances and/or --checkpoint) stream
+    // compact rows per instance instead of buffering one front.
+    if which == ParetoInstance::Workload && (o.instances > 1 || o.checkpoint.is_some()) {
+        return run_pareto_sweep(o);
+    }
     let popts = ParetoOptions {
         max_epsilon: o.max_eps,
         max_latency: o.max_latency,
@@ -462,11 +463,6 @@ fn run_pareto(o: &Opts) {
         threads: o.threads,
         ..Default::default()
     };
-    // Workload-scale sweeps (--instances and/or --checkpoint) stream
-    // compact rows per instance instead of buffering one front.
-    if which == ParetoInstance::Workload && (o.instances > 1 || o.checkpoint.is_some()) {
-        return run_pareto_sweep(o, popts);
-    }
     if o.instances > 1 {
         eprintln!("--instances is only meaningful with --graph workload\n");
         std::process::exit(2);
@@ -517,44 +513,67 @@ fn run_pareto(o: &Opts) {
     }
 }
 
-/// Workload-scale Pareto sweep: `--instances N` random §5 instances, one
-/// front per instance, rows streamed as they complete (text, CSV or JSON
-/// lines) and journalled to `--checkpoint` for resume-on-restart.
-fn run_pareto_sweep(o: &Opts, popts: ltf_core::search::pareto::ParetoOptions) {
-    use ltf_experiments::pareto::{workload_sweep, WorkloadSweepConfig, SWEEP_CSV_HEADER};
+/// Workload-scale Pareto sweep: `--instances N` random §5 instances as a
+/// one-experiment campaign run in this process (shard `0/1`), one front
+/// per instance, rows streamed in instance order (text, CSV or JSON lines)
+/// and journalled to `--checkpoint` for resume-on-restart.
+fn run_pareto_sweep(o: &Opts) {
+    use ltf_experiments::campaign::{run_shard, CampaignSpec, EpsRange, ParetoKind};
+    use ltf_experiments::pareto::SWEEP_CSV_HEADER;
 
-    let cfg = WorkloadSweepConfig {
-        instances: o.instances,
-        seed: o.seed,
-        utilization: o.utilization,
-        algo: o.algo.clone(),
-        opts: popts,
-        threads: o.threads,
+    let spec = CampaignSpec {
+        name: "pareto".into(),
+        seed: Some(o.seed),
+        instances: Some(o.instances),
+        graphs: vec!["workload".into()],
+        heuristics: vec![o.algo.clone()],
+        epsilons: Some(vec![EpsRange {
+            min: None,
+            max: o.max_eps,
+        }]),
+        utilizations: Some(vec![o.utilization]),
+        max_latency: o.max_latency,
+        max_procs: o.max_procs,
+        ..Default::default()
     };
+    let kind = ParetoKind::new(&spec).unwrap_or_else(|e| {
+        eprintln!("{e}\n");
+        std::process::exit(2);
+    });
     if o.csv {
         println!("{SWEEP_CSV_HEADER}");
     }
     let t0 = std::time::Instant::now();
-    let emitted = workload_sweep(&cfg, o.checkpoint.as_deref(), |row| {
-        if o.json {
-            println!("{}", serde_json::to_string(row).expect("serialize"));
-        } else if o.csv {
-            println!("{}", row.csv_line());
-        } else {
-            println!(
-                "seed={:#x} ε={} m={} Δ={:.3} L≤{:.3} S={} [{}]",
-                row.seed,
-                row.epsilon,
-                row.procs,
-                row.period,
-                row.latency,
-                row.stages,
-                row.heuristic
-            );
-        }
-    });
-    match emitted {
-        Ok(rows) => eprintln!(
+    let mut rows = 0usize;
+    let run = run_shard(
+        &kind,
+        ltf_core::shard::Shard::solo(),
+        o.threads,
+        o.checkpoint.as_deref(),
+        |item| {
+            for row in &item.rows {
+                rows += 1;
+                if o.json {
+                    println!("{}", serde_json::to_string(row).expect("serialize"));
+                } else if o.csv {
+                    println!("{}", row.csv_line());
+                } else {
+                    println!(
+                        "seed={:#x} ε={} m={} Δ={:.3} L≤{:.3} S={} [{}]",
+                        row.seed,
+                        row.epsilon,
+                        row.procs,
+                        row.period,
+                        row.latency,
+                        row.stages,
+                        row.heuristic
+                    );
+                }
+            }
+        },
+    );
+    match run {
+        Ok(_) => eprintln!(
             "pareto sweep: {} instance(s), {rows} front row(s), {:.1?}{}",
             o.instances,
             t0.elapsed(),
@@ -570,62 +589,34 @@ fn run_pareto_sweep(o: &Opts, popts: ltf_core::search::pareto::ParetoOptions) {
     }
 }
 
-/// Run one shard of a declarative campaign spec, streaming `ItemResult`
-/// JSON lines to stdout for the `ltf-campaign` coordinator (or a human)
-/// to merge. See `docs/campaign-spec.md`.
-fn run_campaign_worker(o: &Opts) {
-    let Some(spec) = &o.spec else {
-        eprintln!("campaign-worker requires --spec FILE\n");
-        std::process::exit(2);
-    };
-    let mut out = std::io::stdout().lock();
-    match ltf_experiments::campaign::worker_main(
-        spec,
-        o.shard,
-        o.threads,
-        o.checkpoint.as_deref(),
-        &mut out,
-    ) {
-        Ok(items) => eprintln!("campaign-worker: shard {} done, {items} item(s)", o.shard),
-        Err(e) => {
-            eprintln!("campaign-worker: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `slo`: run a whole SLO campaign (a spec with a `failure` block) in
 /// this process and render its report — JSON lines on stdout (CSV with
 /// `--csv`), both files under `--out`. Distributed runs go through
 /// `ltf-campaign` instead; this is the golden serial reference they are
 /// byte-compared against. See `docs/slo-campaign.md`.
 fn run_slo(o: &Opts) {
+    use ltf_experiments::campaign::{build_slo_report, run_serial, CampaignSpec, Kind};
+
     let Some(spec_path) = &o.spec else {
         eprintln!("slo requires --spec FILE\n");
         std::process::exit(2);
     };
-    let spec = match ltf_experiments::campaign::CampaignSpec::load(spec_path) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("slo: {e}");
-            std::process::exit(2);
-        }
+    let bail = |code: i32, msg: String| -> ! {
+        eprintln!("slo: {msg}");
+        std::process::exit(code);
     };
-    if spec.failure.is_none() {
-        eprintln!("slo: spec {} has no \"failure\" block", spec_path.display());
-        std::process::exit(2);
-    }
-    let report = match ltf_experiments::campaign::run_slo_serial(
-        &spec,
-        o.threads,
-        o.checkpoint.as_deref(),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("slo: {e}");
-            std::process::exit(1);
-        }
+    let spec = CampaignSpec::load(spec_path).unwrap_or_else(|e| bail(2, e.to_string()));
+    let kind = match Kind::of(&spec) {
+        Ok(Kind::Slo(kind)) => kind,
+        Ok(Kind::Pareto(_)) => bail(
+            2,
+            format!("spec {} has no \"failure\" block", spec_path.display()),
+        ),
+        Err(e) => bail(1, e.to_string()),
     };
+    let report = run_serial(&kind, o.threads, o.checkpoint.as_deref())
+        .and_then(|merged| build_slo_report(&spec, &merged))
+        .unwrap_or_else(|e| bail(1, e));
     let json = report.json_lines();
     let csv = report.csv_lines();
     for line in if o.csv { &csv } else { &json } {
@@ -655,9 +646,6 @@ fn print_usage() {
          \x20 fig4       granularity sweep, ε = 3, c = 2\n\
          \x20 solve      one paper-workload instance through the Solver registry\n\
          \x20 pareto     Pareto front over (latency, period, ε, processors)\n\
-         \x20 campaign-worker  run one shard of a campaign spec (--spec,\n\
-         \x20            --shard K/N, --checkpoint; JSON lines on stdout;\n\
-         \x20            specs with a \"failure\" block run the SLO pipeline)\n\
          \x20 slo        run an SLO campaign serially (--spec with a\n\
          \x20            \"failure\" block; report on stdout + --out files)\n\
          \x20 scaling    runtime scaling over (v, m, ε)\n\
@@ -690,12 +678,11 @@ fn print_usage() {
          \x20 --checkpoint F   journal completed work items to F (JSON lines)\n\
          \x20                  and resume from it on restart; honoured by\n\
          \x20                  pareto --graph workload, fig3/fig4, scaling\n\
-         \x20                  and campaign-worker\n\
-         \x20 --spec F         campaign-worker: the campaign spec file\n\
+         \x20                  and slo\n\
+         \x20 --spec F         slo: the campaign spec file\n\
          \x20 --topology F     solve: route the generated platform through a\n\
          \x20                  topology spec file, e.g. {{\"shape\":{{\"Chain\":0.5}}}}\n\
          \x20                  (shapes: Chain, Star, Links; mode: Contended|Uniform)\n\
-         \x20 --shard K/N      campaign-worker: run shard K of N (default 0/1)\n\
          \x20 --help, -h       this message"
     );
 }
@@ -713,7 +700,6 @@ fn main() {
         "fig4" => run_granularity_figure(&o, 3, 2),
         "solve" => run_solve(&o),
         "pareto" => run_pareto(&o),
-        "campaign-worker" => run_campaign_worker(&o),
         "slo" => run_slo(&o),
         "scaling" => {
             let mut cfg = ScalingConfig {

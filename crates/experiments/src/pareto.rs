@@ -1,12 +1,11 @@
 //! Pareto-front runner behind the `ltf-experiments pareto` subcommand:
 //! instance selection (the paper's worked examples or a calibrated random
 //! workload), front enumeration through the full `Solver` registry, witness
-//! re-validation, the CSV / JSON-lines record rendering, and the
-//! thousands-of-instances [`workload_sweep`] with streamed, checkpointed
-//! output.
+//! re-validation, and the CSV / JSON-lines record rendering. Workload-scale
+//! sweeps (`pareto --graph workload --instances N`) run as one-experiment
+//! campaigns through [`crate::campaign`], one compact [`FrontRow`] list
+//! per instance.
 
-use crate::checkpoint::{resume_chunks, Checkpoint};
-use crate::figures::window_for;
 use crate::workload::{gen_instance, PaperWorkload};
 use ltf_baselines::full_solver;
 use ltf_core::search::pareto::{pareto_front, pareto_front_all, ParetoOptions, ParetoPoint};
@@ -15,7 +14,6 @@ use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::validate;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Which instance the front is enumerated on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,147 +202,6 @@ impl FrontRow {
 /// CSV header matching [`FrontRow::csv_line`].
 pub const SWEEP_CSV_HEADER: &str =
     "seed,heuristic,epsilon,procs,platform_procs,period,throughput,latency,stages,comms";
-
-/// Configuration of a workload-scale front sweep.
-#[derive(Debug, Clone)]
-pub struct WorkloadSweepConfig {
-    /// Number of random §5 instances to enumerate fronts on.
-    pub instances: usize,
-    /// Base seed; instance seeds derive deterministically from it.
-    pub seed: u64,
-    /// Target platform utilization of the generated instances.
-    pub utilization: f64,
-    /// Registry name of the heuristic, or `"all"` for the merge.
-    pub algo: String,
-    /// Per-instance enumeration options (threads is used *across*
-    /// instances here; each per-instance enumeration stays serial).
-    pub opts: ParetoOptions,
-    /// Worker threads across instances.
-    pub threads: usize,
-}
-
-/// Enumerate the front of every instance of a workload-scale sweep,
-/// streaming each instance's rows through `emit` as soon as its window
-/// completes, in instance order. With a `journal`, completed instances
-/// are replayed on restart (their rows go through `emit` first, in the
-/// original order) and only pending instances are recomputed — so a
-/// killed sweep resumes without losing more than one window of work, and
-/// the emitted row sequence is identical to an uninterrupted run's. At
-/// no point are more than `window_for(threads)` instances' rows held in
-/// memory.
-///
-/// Every fresh witness is re-validated against its platform prefix before
-/// its row is journalled or emitted; a validation failure is a scheduler
-/// bug and returns an error naming the instance.
-pub fn workload_sweep(
-    cfg: &WorkloadSweepConfig,
-    journal: Option<&Path>,
-    mut emit: impl FnMut(&FrontRow),
-) -> Result<usize, String> {
-    // The key pins the full run configuration — heuristic, utilization
-    // and every enumeration option — so a journal shared across `--algo`
-    // or `--util` runs neither replays foreign rows nor double-counts:
-    // only records matching this exact configuration (and this run's
-    // seed set) are replayed; everything else stays pending under its
-    // own keys.
-    let o = &cfg.opts;
-    let sig = format!(
-        "algo={}:util={}:me={:?}:ml={:?}:mp={:?}:rs={}:it={}:os={:#x}",
-        cfg.algo,
-        cfg.utilization,
-        o.max_epsilon,
-        o.max_latency,
-        o.max_procs,
-        o.relax_steps,
-        o.iterations,
-        o.seed
-    );
-    let keyed = |seed: u64| format!("pareto:{sig}:seed={seed:#018x}");
-    let seeds: Vec<u64> = (0..cfg.instances as u64)
-        .map(|k| cfg.seed.wrapping_add(k))
-        .collect();
-    let expected: std::collections::HashSet<String> = seeds.iter().map(|s| keyed(*s)).collect();
-    let mut emitted = 0usize;
-    let mut ckpt = match journal {
-        Some(path) => Some(
-            Checkpoint::open(path, |key, value| {
-                if !expected.contains(key) {
-                    return false; // another run configuration shares the journal
-                }
-                let serde::Value::Seq(rows) = value else {
-                    eprintln!("warning: checkpoint: record {key} has the wrong shape; recomputing");
-                    return false;
-                };
-                let decoded: Option<Vec<FrontRow>> =
-                    rows.iter().map(|r| FrontRow::from_value(r).ok()).collect();
-                match decoded {
-                    Some(rows) => {
-                        for row in &rows {
-                            emitted += 1;
-                            emit(row);
-                        }
-                        true
-                    }
-                    None => {
-                        eprintln!("warning: checkpoint: record {key} does not decode; recomputing");
-                        false
-                    }
-                }
-            })
-            .map_err(|e| format!("checkpoint: {e}"))?,
-        ),
-        None => None,
-    };
-    let wl = PaperWorkload {
-        utilization: cfg.utilization,
-        ..Default::default()
-    };
-    // Reject a bad --algo before sweeping anything (enumerate would only
-    // notice per instance, deep inside the pool).
-    if cfg.algo != "all" {
-        let probe = gen_instance(&wl, cfg.seed);
-        let solver = full_solver(&probe.graph, &probe.platform);
-        if solver.heuristic(&cfg.algo).is_none() {
-            return Err(format!(
-                "unknown heuristic {:?} (registered: {}, or \"all\")",
-                cfg.algo,
-                solver.names().join(", ")
-            ));
-        }
-    }
-    // One serial enumeration per instance; the parallelism lives across
-    // instances (nested pools would oversubscribe the machine).
-    let mut popts = cfg.opts.clone();
-    popts.threads = 1;
-    let compute = |seed: &u64| -> Vec<FrontRow> {
-        let inst = gen_instance(&wl, *seed);
-        let front =
-            enumerate(&inst.graph, &inst.platform, &cfg.algo, &popts).expect("algo pre-checked");
-        // A witness that fails structural validation is a scheduler bug;
-        // panicking (propagated with its payload by the worker pool)
-        // beats journalling a bogus row as completed work.
-        if let Err(e) = validate_front(&inst.graph, &inst.platform, &front) {
-            panic!("instance seed={seed:#x}: {e}");
-        }
-        front.iter().map(|pt| FrontRow::new(*seed, pt)).collect()
-    };
-    resume_chunks(
-        &seeds,
-        cfg.threads,
-        window_for(cfg.threads),
-        &mut ckpt,
-        |s| keyed(*s),
-        compute,
-        |_, rows| {
-            for row in &rows {
-                emitted += 1;
-                emit(row);
-            }
-        },
-    )
-    .map_err(|e| format!("checkpoint: {e}"))?;
-    Ok(emitted)
-}
 
 #[cfg(test)]
 mod tests {

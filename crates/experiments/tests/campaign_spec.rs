@@ -6,7 +6,8 @@
 
 use ltf_core::shard::Shard;
 use ltf_experiments::campaign::{
-    slo_cells, slo_work_items, work_items, CampaignSpec, SpecError, TopologyShape, DEFAULT_SEED,
+    journal_key, slo_cells, slo_work_items, work_items, CampaignKind, CampaignSpec, ParetoKind,
+    SloKind, SpecError, TopologyShape, DEFAULT_SEED,
 };
 use ltf_experiments::{gen_instance, gen_instance_on};
 
@@ -269,6 +270,26 @@ fn failure_needs_exactly_one_rate_form() {
     assert!(msg.contains("exactly one"), "{msg}");
     let msg = slo_bad_value(r#""rate": 0.01"#, r#""rate": -0.5"#);
     assert!(msg.contains("non-negative"), "{msg}");
+    // Explicit rates must fit every swept platform, including the fig
+    // families' pinned sizes (fig1 has 4 processors).
+    let msg = slo_bad_value(r#""rate": 0.01"#, r#""rates": [0.01, 0.01]"#);
+    assert!(msg.contains("\"fig1\" cells have m=4"), "{msg}");
+    let fits = valid_slo().replace(r#""rate": 0.01"#, r#""rates": [0.01, 0.01, 0.01, 0.01]"#);
+    assert!(CampaignSpec::parse(&fits).unwrap().expand().is_ok());
+}
+
+/// Both journal-key formats, literally: resumable journals written by one
+/// build must replay under the next, so the key layout is a file format.
+#[test]
+fn journal_keys_are_pinned_per_kind() {
+    assert_eq!(
+        journal_key(ParetoKind::PREFIX, "n", 0xabc, 3),
+        "campaign:n:0000000000000abc:item=000003"
+    );
+    assert_eq!(
+        journal_key(SloKind::PREFIX, "n", 0xabc, 3),
+        "slo:n:0000000000000abc:item=000003"
+    );
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! records as an uninterrupted run — and must not re-journal (i.e. not
 //! recompute) the work items that were already complete.
 
-use ltf_core::search::pareto::ParetoOptions;
+use ltf_core::shard::Shard;
+use ltf_experiments::campaign::{run_shard, CampaignSpec, ParetoKind};
 use ltf_experiments::figures::{sweep_checkpointed, SweepConfig};
-use ltf_experiments::pareto::{workload_sweep, FrontRow, WorkloadSweepConfig};
+use ltf_experiments::pareto::FrontRow;
 use ltf_experiments::scaling::{scaling_sweep_checkpointed, ScalingConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ltf-resume-tests");
@@ -33,46 +34,49 @@ fn interrupt(path: &PathBuf, keep: usize) {
     std::fs::write(path, chopped).unwrap();
 }
 
-fn sweep_cfg() -> WorkloadSweepConfig {
-    WorkloadSweepConfig {
-        instances: 6,
-        seed: 0xFEED,
-        utilization: 0.25,
-        algo: "rltf".to_string(),
-        opts: ParetoOptions {
-            max_epsilon: Some(1),
-            max_procs: Some(3),
-            relax_steps: 1,
-            iterations: 10,
-            ..Default::default()
-        },
-        threads: 2,
-    }
+/// The workload Pareto sweep as the CLI builds it (`pareto --graph
+/// workload --instances 6 --algo ALGO --max-eps 1 --max-procs 3`): a
+/// one-experiment campaign, here with smaller search budgets.
+fn sweep_spec(algo: &str) -> CampaignSpec {
+    CampaignSpec::parse(&format!(
+        r#"{{"name": "pareto", "seed": 65261, "instances": 6, "graphs": ["workload"],
+            "heuristics": ["{algo}"], "epsilons": [{{"max": 1}}], "utilizations": [0.25],
+            "max_procs": 3, "relax_steps": 1, "iterations": 10}}"#
+    ))
+    .unwrap()
+}
+
+const INSTANCES: usize = 6;
+
+/// Run the sweep's single shard on two threads, collecting the front rows
+/// in emission order.
+fn sweep(spec: &CampaignSpec, journal: Option<&Path>) -> Vec<FrontRow> {
+    let kind = ParetoKind::new(spec).unwrap();
+    let mut rows = Vec::new();
+    run_shard(&kind, Shard::solo(), 2, journal, |r| rows.extend(r.rows)).unwrap();
+    rows
 }
 
 #[test]
 fn workload_sweep_resumes_identically() {
-    let cfg = sweep_cfg();
+    let spec = sweep_spec("rltf");
 
     // Uninterrupted run, no journal: the reference row stream.
-    let mut reference: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg, None, |row| reference.push(row.clone())).unwrap();
+    let reference = sweep(&spec, None);
     assert!(
-        reference.len() >= cfg.instances,
+        reference.len() >= INSTANCES,
         "at least one row per instance"
     );
 
     // Checkpointed run, then kill it mid-journal.
     let journal = tmp("workload");
-    let mut first: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg, Some(&journal), |row| first.push(row.clone())).unwrap();
+    let first = sweep(&spec, Some(&journal));
     assert_eq!(first, reference, "journalling must not change the rows");
     let full_text = std::fs::read_to_string(&journal).unwrap();
     interrupt(&journal, 3);
 
     // Resume: replayed + freshly computed rows, in the original order.
-    let mut resumed: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg, Some(&journal), |row| resumed.push(row.clone())).unwrap();
+    let resumed = sweep(&spec, Some(&journal));
     assert_eq!(resumed, reference, "resumed row stream differs");
 
     // The journal healed to exactly the uninterrupted state: same
@@ -89,12 +93,17 @@ fn workload_sweep_resumes_identically() {
         .collect();
     keys.sort();
     keys.dedup();
-    assert_eq!(keys.len(), cfg.instances, "duplicate journal keys");
+    assert_eq!(keys.len(), INSTANCES, "duplicate journal keys");
+    // The sweep journals under campaign keys: name, signature, item.
+    let first_key = format!(
+        r#"{{"key":"campaign:pareto:{:016x}:item=000000","#,
+        spec.signature()
+    );
+    assert!(healed[0].starts_with(&first_key), "{}", healed[0]);
 
     // Resuming a *complete* journal recomputes nothing: every row is
     // replayed and the file is untouched.
-    let mut replay_only: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg, Some(&journal), |row| replay_only.push(row.clone())).unwrap();
+    let replay_only = sweep(&spec, Some(&journal));
     assert_eq!(replay_only, reference);
     assert_eq!(std::fs::read_to_string(&journal).unwrap(), healed_text);
 
@@ -107,23 +116,18 @@ fn journal_shared_across_configs_never_mixes_records() {
     // a journal shared across --algo runs emitted the old config's rows
     // on top of recomputing the new one; fig keys used the granularity
     // *index*, silently replaying records measured at other
-    // granularities. Keys now pin the full configuration.
+    // granularities. Keys now pin the full configuration (the campaign
+    // signature covers every spec field).
     let journal = tmp("cross-config");
-    let cfg_rltf = sweep_cfg();
-    let mut rltf_rows: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg_rltf, Some(&journal), |row| rltf_rows.push(row.clone())).unwrap();
+    let spec_rltf = sweep_spec("rltf");
+    let rltf_rows = sweep(&spec_rltf, Some(&journal));
 
     // Same journal, different heuristic: none of the rltf rows may leak
     // into the output, and the ltf work is computed (journal grows).
     let lines_before = std::fs::read_to_string(&journal).unwrap().lines().count();
-    let cfg_ltf = WorkloadSweepConfig {
-        algo: "ltf".to_string(),
-        ..sweep_cfg()
-    };
-    let mut reference_ltf: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg_ltf, None, |row| reference_ltf.push(row.clone())).unwrap();
-    let mut shared_ltf: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg_ltf, Some(&journal), |row| shared_ltf.push(row.clone())).unwrap();
+    let spec_ltf = sweep_spec("ltf");
+    let reference_ltf = sweep(&spec_ltf, None);
+    let shared_ltf = sweep(&spec_ltf, Some(&journal));
     assert_eq!(
         shared_ltf, reference_ltf,
         "foreign rows leaked into the output"
@@ -131,18 +135,13 @@ fn journal_shared_across_configs_never_mixes_records() {
     let lines_after = std::fs::read_to_string(&journal).unwrap().lines().count();
     assert_eq!(
         lines_after,
-        lines_before + cfg_ltf.instances,
+        lines_before + INSTANCES,
         "ltf run must journal its own items without disturbing rltf's"
     );
 
     // And the original configuration still resumes cleanly from the now
     // mixed journal.
-    let mut rltf_again: Vec<FrontRow> = Vec::new();
-    workload_sweep(&cfg_rltf, Some(&journal), |row| {
-        rltf_again.push(row.clone())
-    })
-    .unwrap();
-    assert_eq!(rltf_again, rltf_rows);
+    assert_eq!(sweep(&spec_rltf, Some(&journal)), rltf_rows);
 
     // Figure sweeps: same journal, different granularity grid — the old
     // index-based keys would have replayed g=0.6 records as g=0.8 data.

@@ -9,7 +9,7 @@ use ltf_baselines::full_solver;
 use ltf_core::shard::Shard;
 use ltf_core::AlgoConfig;
 use ltf_experiments::campaign::{
-    build_slo_report, run_slo_serial, run_slo_shard, CampaignSpec, Merger, SloItemResult,
+    build_slo_report, run_serial, run_shard, CampaignSpec, Merger, SloItemResult, SloKind,
 };
 use ltf_experiments::pareto::ParetoInstance;
 use ltf_faultlab::{replay, FailureModel, ReplayConfig, SimEngine};
@@ -28,14 +28,16 @@ const SPEC: &str = r#"{
 #[test]
 fn report_is_byte_identical_across_threads_and_shards() {
     let spec = CampaignSpec::parse(SPEC).unwrap();
-    let baseline = run_slo_serial(&spec, 1, None).unwrap();
+    let kind = SloKind::new(&spec, spec.failure.as_ref().unwrap()).unwrap();
+    let report = |threads| build_slo_report(&spec, &run_serial(&kind, threads, None).unwrap());
+    let baseline = report(1).unwrap();
     assert!(
         baseline.rows.iter().any(|r| r.feasible && r.items > 0),
         "the fixture must actually replay something"
     );
 
     for threads in [2, 4] {
-        let got = run_slo_serial(&spec, threads, None).unwrap();
+        let got = report(threads).unwrap();
         assert_eq!(
             got.json_lines(),
             baseline.json_lines(),
@@ -55,10 +57,7 @@ fn report_is_byte_identical_across_threads_and_shards() {
         let mut merger: Merger<SloItemResult> = Merger::new(expected);
         for k in 0..n {
             let shard = Shard::new(k, n).unwrap();
-            run_slo_shard(&spec, shard, 1, None, |r| {
-                merger.insert(r.clone()).unwrap();
-            })
-            .unwrap();
+            run_shard(&kind, shard, 1, None, |r| merger.insert(r).unwrap()).unwrap();
         }
         let got = build_slo_report(&spec, &merger.finish().unwrap()).unwrap();
         assert_eq!(

@@ -360,18 +360,8 @@ impl Service {
         };
         let threads = resolve_threads(self.config.threads);
         let mut results = Vec::new();
-        // SLO campaigns (specs with a `failure` block) shard trace
-        // blocks; plain campaigns shard front enumerations. Either way
-        // the reply carries the results as a JSON array.
-        let run = if req.spec.failure.is_some() {
-            ltf_experiments::campaign::run_slo_shard(&req.spec, shard, threads, None, |r| {
-                results.push(r.to_value())
-            })
-        } else {
-            ltf_experiments::campaign::run_shard(&req.spec, shard, threads, None, |r| {
-                results.push(r.to_value())
-            })
-        };
+        let run = ltf_experiments::campaign::campaign_of(&req.spec)
+            .and_then(|c| c.run_shard(shard, threads, None, &mut |v| results.push(v)));
         match run {
             Ok(items) => reply(vec![
                 ("ok", Value::Bool(true)),

@@ -1,13 +1,13 @@
 //! Campaign shard mode: the `{"cmd":"shard",...}` worker half of the
 //! `ltf-campaign` coordinator's connect mode. Asserts the reply envelope
 //! (`ok`/`id`/`shard`/`items`/`results`), that the results are exactly
-//! what an in-process `run_shard` produces, and that malformed shard
+//! what the in-process shard runner produces, and that malformed shard
 //! requests draw structured `"ok":false` replies without killing the
 //! service.
 
 use ltf_core::shard::Shard;
 use ltf_experiments::campaign::{
-    run_shard, run_slo_shard, CampaignSpec, ItemResult, SloItemResult,
+    run_shard, CampaignSpec, ItemResult, ParetoKind, SloItemResult, SloKind,
 };
 use ltf_serve::{Service, ServiceConfig};
 use serde::{Deserialize, Value};
@@ -63,7 +63,8 @@ fn shard_reply_matches_in_process_run() {
     let spec = CampaignSpec::parse(SPEC).unwrap();
     let shard: Shard = "1/2".parse().unwrap();
     let mut want = Vec::new();
-    run_shard(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
+    let kind = ParetoKind::new(&spec).unwrap();
+    run_shard(&kind, shard, 1, None, |r| want.push(r)).unwrap();
     assert_eq!(got, want, "wire results differ from in-process run_shard");
     assert_eq!(field(&v, "items"), Some(&Value::UInt(want.len() as u64)));
 }
@@ -94,11 +95,9 @@ fn slo_shard_reply_matches_in_process_run() {
     let spec = CampaignSpec::parse(SLO_SPEC).unwrap();
     let shard: Shard = "0/2".parse().unwrap();
     let mut want = Vec::new();
-    run_slo_shard(&spec, shard, 1, None, |r| want.push(r.clone())).unwrap();
-    assert_eq!(
-        got, want,
-        "wire results differ from in-process run_slo_shard"
-    );
+    let kind = SloKind::new(&spec, spec.failure.as_ref().unwrap()).unwrap();
+    run_shard(&kind, shard, 1, None, |r| want.push(r)).unwrap();
+    assert_eq!(got, want, "wire results differ from in-process run_shard");
     assert_eq!(field(&v, "items"), Some(&Value::UInt(want.len() as u64)));
 }
 
@@ -134,6 +133,25 @@ fn invalid_spec_fails_structurally_and_service_survives() {
     let resp = s.handle_line(&shard_line(SPEC, "0/2", 3));
     let v: Value = serde_json::from_str(&resp).unwrap();
     assert_eq!(field(&v, "ok"), Some(&Value::Bool(true)), "{resp}");
+
+    // Per-processor failure rates that do not fit a fig family's pinned
+    // platform (fig1 has 4 processors) are rejected at validation instead
+    // of tripping an assert mid-shard and taking the daemon down.
+    let bad_rates = r#"{"name":"bad-rates","graphs":["fig1"],"heuristics":["rltf"],
+      "epsilons":[{"max":1}],"failure":{"rates":[0.01,0.01],"period":30}}"#;
+    let resp = s.handle_line(&shard_line(bad_rates, "0/1", 4));
+    let v: Value = serde_json::from_str(&resp).unwrap();
+    assert_eq!(
+        field(&v, "error"),
+        Some(&Value::Str("shard-failed".to_string())),
+        "{resp}"
+    );
+    assert!(resp.contains("failure.rates"), "{resp}");
+    let resp = s.handle_line(r#"{"cmd":"heuristics"}"#);
+    assert!(
+        resp.starts_with(r#"{"status":"ok","heuristics":"#),
+        "{resp}"
+    );
 }
 
 #[test]

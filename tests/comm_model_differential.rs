@@ -21,18 +21,27 @@
 //!   out — so the suite pins fixed seeds; the per-probe monotonicity that
 //!   *is* a theorem is unit-tested in `ltf-core`.)
 
-// The free-function shims stay the entry point here on purpose: they are
-// pinned bit-identical to the Solver path by `solver_differential.rs`, and
-// they keep this suite's call sites symmetric with the frozen oracle's.
-#![allow(deprecated)]
-
-use ltf_sched::core::{schedule_with, schedule_with_reference, AlgoConfig, AlgoKind};
+use ltf_sched::core::{
+    schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance, ScheduleError,
+};
 use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, layered, LayeredConfig};
 use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::{CommMode, Platform, Topology};
 use ltf_sched::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The production path: the built-in heuristic over a fresh prepared
+/// instance (what `Solver::solve` runs, minus the report), call-symmetric with
+/// the frozen oracle.
+fn schedule_with(
+    kind: AlgoKind,
+    g: &TaskGraph,
+    p: &Platform,
+    cfg: &AlgoConfig,
+) -> Result<Schedule, ScheduleError> {
+    kind.heuristic().schedule(&PreparedInstance::new(g, p), cfg)
+}
 
 fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");

@@ -16,17 +16,25 @@
 //! `ltf-core/tests/prio_props.rs`) and by the debug assertion in
 //! `Schedule::with_stages`, which is active throughout this suite.
 
-// This suite deliberately drives the deprecated free-function shims: they
-// must stay bit-identical to the Solver path until they are removed.
-#![allow(deprecated)]
-
 use ltf_sched::core::{
-    schedule_with, schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance,
+    schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance, ScheduleError,
 };
 use ltf_sched::experiments::workload::{gen_instance, PaperWorkload};
 use ltf_sched::graph::generate::{series_parallel, SeriesParallelConfig};
+use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::Schedule;
+
+/// The production path: the built-in heuristic over a fresh prepared
+/// instance (what `Solver::solve` runs, minus the report).
+fn schedule_with(
+    kind: AlgoKind,
+    g: &TaskGraph,
+    p: &Platform,
+    cfg: &AlgoConfig,
+) -> Result<Schedule, ScheduleError> {
+    kind.heuristic().schedule(&PreparedInstance::new(g, p), cfg)
+}
 
 fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
@@ -42,13 +50,7 @@ fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
 }
 
-fn compare_paths(
-    kind: AlgoKind,
-    g: &ltf_sched::graph::TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-    ctx: &str,
-) {
+fn compare_paths(kind: AlgoKind, g: &TaskGraph, p: &Platform, cfg: &AlgoConfig, ctx: &str) {
     let inc = schedule_with(kind, g, p, cfg);
     let refr = schedule_with_reference(kind, g, p, cfg);
     match (inc, refr) {
@@ -178,7 +180,7 @@ fn incremental_matches_reference_on_infeasible_periods() {
 }
 
 /// The search-oriented prepared instance must be a pure cache: scheduling
-/// through it equals the one-shot entry points.
+/// repeatedly through one shared instance equals a fresh one per call.
 #[test]
 fn prepared_instance_matches_one_shot() {
     let wl = PaperWorkload {
@@ -193,7 +195,7 @@ fn prepared_instance_matches_one_shot() {
         // Several periods, as the binary searches would probe.
         for factor in [1.0, 1.5, 3.0] {
             let cfg = AlgoConfig::new(1, inst.period * factor).seeded(9);
-            let a = prep.schedule(kind, &cfg);
+            let a = kind.heuristic().schedule(&prep, &cfg);
             let b = schedule_with(kind, &inst.graph, &inst.platform, &cfg);
             match (a, b) {
                 (Ok(a), Ok(b)) => assert_identical(&a, &b, &format!("prepared {kind} x{factor}")),

@@ -1,22 +1,18 @@
-//! Differential tests for the `Solver`/`Heuristic` API redesign: every
-//! registered heuristic, dispatched by name through the registry, must
-//! reproduce its legacy entry point bit for bit — same hosts, identical
-//! times, same stages, same source structure, same message set — on the
-//! paper's worked examples and on random layered graphs.
+//! Differential tests for the `Solver`/`Heuristic` API: every registered
+//! heuristic, dispatched by name through the registry (one shared prepared
+//! instance per session), must reproduce the direct heuristic call on a
+//! fresh `PreparedInstance` bit for bit — same hosts, identical times, same
+//! stages, same source structure, same message set — on the paper's worked
+//! examples and on random layered graphs. `fault-free` must equal R-LTF
+//! run at ε = 0.
 //!
-//! The strategies whose legacy entry points return strategy-specific
-//! outcome types (HEFT/ETF makespan schedules, the task-/data-parallel
-//! outcomes) are compared field by field against those outcomes instead.
-
-// The legacy side of every comparison goes through the deprecated shims
-// on purpose.
-#![allow(deprecated)]
+//! The baselines are also compared against their legacy entry points,
+//! which return strategy-specific outcome types (HEFT/ETF makespan
+//! schedules, the task-/data-parallel outcomes), field by field.
 
 use ltf_sched::baselines::{self, full_solver};
 use ltf_sched::core::search::{self, SearchOptions};
-use ltf_sched::core::{
-    fault_free_reference, ltf_schedule, rltf_schedule, AlgoConfig, Rltf, ScheduleError, Solver,
-};
+use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError, Solver};
 use ltf_sched::experiments::workload::{gen_instance, PaperWorkload};
 use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, fig2_workflow_variant};
 use ltf_sched::graph::TaskGraph;
@@ -37,7 +33,7 @@ fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
     assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
 }
 
-/// Solver dispatch vs legacy free function, both sides of feasibility.
+/// Solver dispatch vs a direct heuristic call, both sides of feasibility.
 fn compare_core(
     solver: &Solver<'_>,
     name: &str,
@@ -62,31 +58,34 @@ fn compare_core(
 }
 
 /// All seven-plus strategies on one instance at (ε, Δ) — the paper trio
-/// against their legacy free functions, the baselines against their
-/// legacy outcome types.
+/// against direct heuristic calls, the baselines against their legacy
+/// outcome types.
 fn compare_all(g: &TaskGraph, p: &Platform, epsilon: u8, period: f64, seed: u64, ctx: &str) {
     let solver = full_solver(g, p);
     let cfg = AlgoConfig::new(epsilon, period).seeded(seed);
+    let direct =
+        |h: &dyn Heuristic, cfg: &AlgoConfig| h.schedule(&PreparedInstance::new(g, p), cfg);
 
     compare_core(
         &solver,
         "ltf",
         &cfg,
-        ltf_schedule(g, p, &cfg),
+        direct(&Ltf, &cfg),
         &format!("{ctx}/ltf"),
     );
     compare_core(
         &solver,
         "rltf",
         &cfg,
-        rltf_schedule(g, p, &cfg),
+        direct(&Rltf, &cfg),
         &format!("{ctx}/rltf"),
     );
+    // The fault-free reference of §5 is R-LTF without replication.
     compare_core(
         &solver,
         "fault-free",
         &cfg,
-        fault_free_reference(g, p, period, seed),
+        direct(&Rltf, &AlgoConfig::new(0, period).seeded(seed)),
         &format!("{ctx}/fault-free"),
     );
 
@@ -217,12 +216,11 @@ fn searches_accept_any_heuristic_including_baselines() {
     let p = Platform::fig1_platform();
     let opts = SearchOptions::default();
 
-    // R-LTF through the new signature equals the deprecated shim.
+    // Driving R-LTF by its registry name equals driving the built-in.
     let new = search::min_period(&g, &p, &Rltf, &opts).expect("feasible");
-    let old = {
-        let old_opts = search::MinPeriodOptions::default();
-        search::min_period_kind(&g, &p, &old_opts).expect("feasible")
-    };
+    let solver = full_solver(&g, &p);
+    let rltf = solver.heuristic("rltf").expect("registered");
+    let old = search::min_period(&g, &p, rltf, &opts).expect("feasible");
     assert_eq!(new.0, old.0, "min_period period");
     assert_identical(&new.1, &old.1, "min_period witness");
 
