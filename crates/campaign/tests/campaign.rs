@@ -6,7 +6,6 @@
 
 use ltf_campaign::{run_campaign, serial_lines, Mode, RunConfig};
 use ltf_experiments::campaign::{CampaignSpec, ABORT_ENV};
-use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -211,30 +210,18 @@ fn slo_tcp_workers_match_serial_byte_for_byte() {
     );
 }
 
-/// One accept loop over a shared in-process `ltf-serve` service: each
-/// connection carries one LDJSON request line and gets one reply line —
-/// exactly what `ltf-serve --listen` does, minus the process boundary.
+/// An in-process `ltf-serve` daemon: the library's accept loop over a
+/// fresh service — exactly what `ltf-serve --listen` runs, minus the
+/// process boundary.
 fn start_tcp_worker() -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
-        let mut service = ltf_serve::Service::new(ltf_serve::ServiceConfig {
+        let service = ltf_serve::Service::new(ltf_serve::ServiceConfig {
             threads: 1,
             ..Default::default()
         });
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            let mut writer = stream.try_clone().expect("clone stream");
-            let mut line = String::new();
-            let mut reader = BufReader::new(stream);
-            while reader.read_line(&mut line).unwrap_or(0) > 0 {
-                let resp = service.handle_line(line.trim_end());
-                if writeln!(writer, "{resp}").is_err() {
-                    break;
-                }
-                line.clear();
-            }
-        }
+        ltf_serve::tcp::serve(&listener, &service);
     });
     addr
 }

@@ -135,8 +135,14 @@ struct PlannedComm {
     dur: f64,
 }
 
-/// Set of processors as a bitmask (the engine asserts `m ≤ 128`).
+/// Set of processors as a bitmask (the engine asserts `m ≤ MAX_PROCS`).
 pub(crate) type ProcMask = u128;
+
+/// The most processors a platform may have: the engine keeps processor
+/// sets in one 128-bit mask and asserts this bound on construction. Entry
+/// points that take platforms from outside the program reject larger ones
+/// with a typed error before solving.
+pub const MAX_PROCS: usize = ProcMask::BITS as usize;
 
 /// A set of replicas (dense indices) as a growable bitset. Used to track
 /// downstream closures through single-source feeding chains. Grows lazily
@@ -524,7 +530,10 @@ impl<'a> Engine<'a> {
         let nrep = cfg.replicas();
         let n = g.num_tasks() * nrep;
         let m = p.num_procs();
-        assert!(m <= 128, "ProcMask supports up to 128 processors");
+        assert!(
+            m <= MAX_PROCS,
+            "ProcMask supports up to {MAX_PROCS} processors"
+        );
         Self {
             g,
             p,

@@ -68,6 +68,7 @@ pub mod stats;
 
 pub use crate::api::{schedule_with_reference, PreparedInstance};
 pub use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
+pub use crate::engine::MAX_PROCS;
 pub use crate::prio::LevelCache;
 pub use crate::solver::{
     Diagnostics, FaultFree, Heuristic, Ltf, Rltf, Solution, SolutionMetrics, Solver,

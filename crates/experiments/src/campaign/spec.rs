@@ -14,6 +14,7 @@ use crate::pareto::ParetoInstance;
 use crate::workload::PaperWorkload;
 use ltf_baselines::full_solver;
 use ltf_core::search::pareto::ParetoOptions;
+use ltf_core::MAX_PROCS;
 use ltf_graph::generate::fig1_diamond;
 use ltf_platform::{CommMode, Platform, Topology};
 use serde::{Deserialize, Serialize};
@@ -491,6 +492,11 @@ impl CampaignSpec {
                 return Err(SpecError::BadValue(
                     "\"platform_procs\" entries must be ≥ 1".into(),
                 ));
+            }
+            if m > MAX_PROCS {
+                return Err(SpecError::BadValue(format!(
+                    "\"platform_procs\" entry {m} exceeds the engine's limit of {MAX_PROCS} processors"
+                )));
             }
         }
         for &u in self.utilizations.iter().flatten() {

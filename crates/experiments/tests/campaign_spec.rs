@@ -96,6 +96,11 @@ fn out_of_domain_values_are_bad_values() {
     let mut spec = CampaignSpec::parse(&valid()).unwrap();
     spec.utilizations = Some(vec![-0.5]);
     assert!(matches!(spec.expand(), Err(SpecError::BadValue(_))));
+    // Above the engine's processor ceiling: a typed rejection, not the
+    // engine's assert mid-campaign.
+    let mut spec = CampaignSpec::parse(&valid()).unwrap();
+    spec.platform_procs = Some(vec![130]);
+    assert!(matches!(spec.expand(), Err(SpecError::BadValue(_))));
 }
 
 #[test]

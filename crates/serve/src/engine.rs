@@ -12,6 +12,19 @@
 //! parallel. Service *times* are the one non-deterministic output, and
 //! they only ever appear in `{"cmd":"stats"}` replies — solve responses
 //! are bit-stable, which is what makes pipe-mode golden tests possible.
+//!
+//! # Concurrency
+//!
+//! A [`Service`] is shared by reference between callers (the TCP
+//! transport runs one thread per connection). One internal lock guards
+//! the cache and the counters, and it is held only for cache lookups and
+//! inserts and counter updates: parsing, fingerprinting, solving, shard
+//! compute and reply encoding run outside it, in parallel across
+//! callers. Serial equivalence holds for a single caller; with several,
+//! `cached` and the counters reflect how their lines actually
+//! interleaved (two callers missing on one key both solve it), while the
+//! solution or error in each reply is the one a serial run gives, because
+//! solves are pure.
 
 use crate::cache::{CacheKey, LruCache};
 use crate::proto::{
@@ -22,9 +35,10 @@ use crate::stats::{ServiceStats, StatsReport};
 use ltf_baselines::full_solver;
 use ltf_core::par::{parallel_map, resolve_threads};
 use ltf_core::shard::Shard;
-use ltf_core::AlgoConfig;
+use ltf_core::{AlgoConfig, MAX_PROCS};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`Service`].
@@ -75,12 +89,18 @@ struct StatsReply {
 }
 
 /// The scheduler service: registry name table, solution cache and
-/// accounting. One instance serves any number of independent requests;
-/// the graph/platform travel *in* each request, so no instance state
-/// outlives a line except the cache and the counters.
+/// accounting. One instance serves any number of independent requests,
+/// from any number of threads; the graph/platform travel *in* each
+/// request, so no instance state outlives a line except the cache and the
+/// counters.
 pub struct Service {
     config: ServiceConfig,
     names: Vec<HeuristicInfo>,
+    shared: Mutex<Shared>,
+}
+
+/// The state callers share, behind [`Service`]'s one lock.
+struct Shared {
     cache: LruCache,
     stats: ServiceStats,
 }
@@ -106,6 +126,21 @@ enum Slot {
     Solve(SolveSlot),
 }
 
+/// A solve's outcome (error id and heuristic still unset) and its
+/// duration in microseconds.
+type Solved = (Result<SolutionWire, ErrResponse>, u64);
+
+/// Solve one request from scratch. Runs without the service lock.
+fn solve(req: &SolveRequest, canonical: &str, cfg: &AlgoConfig) -> Solved {
+    let t0 = Instant::now();
+    let solver = full_solver(&req.graph, &req.platform);
+    let outcome = match solver.solve(canonical, cfg) {
+        Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
+        Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
+    };
+    (outcome, t0.elapsed().as_micros() as u64)
+}
+
 impl Service {
     /// A service over the full built-in strategy family
     /// (`ltf_baselines::full_solver`).
@@ -124,17 +159,21 @@ impl Service {
             })
             .collect();
         Self {
+            shared: Mutex::new(Shared {
+                cache: LruCache::new(config.cache_capacity),
+                stats: ServiceStats::new(),
+            }),
             config,
             names,
-            cache: LruCache::new(0),
-            stats: ServiceStats::new(),
         }
-        .with_cache_capacity()
     }
 
-    fn with_cache_capacity(mut self) -> Self {
-        self.cache = LruCache::new(self.config.cache_capacity);
-        self
+    /// Lock the cache and the counters. A poisoned lock is recovered: only
+    /// `LruCache` and `ServiceStats` updates run under it, none of them
+    /// panics on request input, and a panic elsewhere in one caller must
+    /// not stop the service for every other caller.
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registered heuristics (canonical name + aliases).
@@ -159,18 +198,23 @@ impl Service {
 
     /// Current statistics snapshot.
     pub fn stats_report(&self) -> StatsReport {
-        self.stats
-            .report(self.cache.hits(), self.cache.misses(), self.cache.len())
+        let shared = self.shared();
+        shared.stats.report(
+            shared.cache.hits(),
+            shared.cache.misses(),
+            shared.cache.len(),
+        )
     }
 
-    /// Direct read access to the cache (tests, introspection).
-    pub fn cache(&self) -> &LruCache {
-        &self.cache
+    /// The cached keys from least- to most-recently used, as a snapshot
+    /// (tests, introspection).
+    pub fn cached_keys(&self) -> Vec<CacheKey> {
+        self.shared().cache.keys_lru_first().cloned().collect()
     }
 
     /// Answer one request line. Never panics on malformed input; every
     /// line gets exactly one response line.
-    pub fn handle_line(&mut self, line: &str) -> String {
+    pub fn handle_line(&self, line: &str) -> String {
         self.handle_lines(std::slice::from_ref(&line))
             .pop()
             .expect("one response per line")
@@ -184,7 +228,7 @@ impl Service {
     /// ```
     /// use ltf_serve::{Service, ServiceConfig};
     ///
-    /// let mut svc = Service::new(ServiceConfig::default());
+    /// let svc = Service::new(ServiceConfig::default());
     /// let replies = svc.handle_lines(&[
     ///     r#"{"cmd":"heuristics"}"#,
     ///     "definitely not json",
@@ -195,7 +239,7 @@ impl Service {
     /// assert!(replies[0].contains(r#""status":"ok""#));
     /// assert!(replies[1].contains(r#""kind":"parse""#));
     /// ```
-    pub fn handle_lines<S: AsRef<str>>(&mut self, lines: &[S]) -> Vec<String> {
+    pub fn handle_lines<S: AsRef<str>>(&self, lines: &[S]) -> Vec<String> {
         // Pass 1 (serial, line order): decode, classify, and decide which
         // lines need a fresh solve. `pending` de-duplicates identical
         // misses inside the batch: the serial replay would solve the
@@ -209,17 +253,10 @@ impl Service {
 
         // Pass 2 (parallel): the actual scheduling work.
         let threads = resolve_threads(self.config.threads);
-        let solved: Vec<(Result<SolutionWire, ErrResponse>, u64)> =
-            parallel_map(&jobs, threads, |(_, req, cfg, canonical)| {
-                let t0 = Instant::now();
-                let solver = full_solver(&req.graph, &req.platform);
-                let outcome = match solver.solve(canonical, cfg) {
-                    Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
-                    Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
-                };
-                (outcome, t0.elapsed().as_micros() as u64)
-            });
-        let results: HashMap<&CacheKey, &(Result<SolutionWire, ErrResponse>, u64)> = jobs
+        let solved = parallel_map(&jobs, threads, |(_, req, cfg, canonical)| {
+            solve(req, canonical, cfg)
+        });
+        let results: HashMap<&CacheKey, &Solved> = jobs
             .iter()
             .map(|(key, ..)| key)
             .zip(solved.iter())
@@ -237,7 +274,7 @@ impl Service {
     }
 
     fn classify(
-        &mut self,
+        &self,
         line: &str,
         jobs: &mut Vec<(CacheKey, Box<SolveRequest>, AlgoConfig, String)>,
         pending: &mut HashMap<CacheKey, usize>,
@@ -259,23 +296,25 @@ impl Service {
             Ok(Request::Shard(req)) => {
                 let line = self.handle_shard(&req);
                 let us = t0.elapsed().as_micros() as u64;
+                let mut shared = self.shared();
                 if line.starts_with(r#"{"ok":true"#) {
-                    self.stats.record_ok("campaign-shard", us);
+                    shared.stats.record_ok("campaign-shard", us);
                 } else {
-                    self.stats.record_error("shard-failed", us);
+                    shared.stats.record_error("shard-failed", us);
                 }
                 return Slot::Done(line);
             }
             Ok(Request::Solve(req)) => req,
             Err((kind, message, id)) => {
-                self.stats
+                self.shared()
+                    .stats
                     .record_error(kind, t0.elapsed().as_micros() as u64);
                 return Slot::Done(to_line(&ErrResponse::new(id, kind, None, message)));
             }
         };
         let id = req.id;
-        let err = |service: &mut Self, kind: &str, heuristic: Option<String>, message: String| {
-            service
+        let err = |kind: &str, heuristic: Option<String>, message: String| {
+            self.shared()
                 .stats
                 .record_error(kind, t0.elapsed().as_micros() as u64);
             Slot::Done(to_line(&ErrResponse::new(id, kind, heuristic, message)))
@@ -284,7 +323,6 @@ impl Service {
             || req.graph.num_edges() > self.config.max_edges
         {
             return err(
-                self,
                 "too-large",
                 None,
                 format!(
@@ -296,9 +334,18 @@ impl Service {
                 ),
             );
         }
+        if req.platform.num_procs() > MAX_PROCS {
+            return err(
+                "too-large",
+                None,
+                format!(
+                    "platform has {} processors, the limit is {MAX_PROCS}",
+                    req.platform.num_procs()
+                ),
+            );
+        }
         let Some(canonical) = self.canonicalize(&req.heuristic).map(str::to_string) else {
             return err(
-                self,
                 "unknown-heuristic",
                 Some(req.heuristic.clone()),
                 format!("no heuristic named {:?} is registered", req.heuristic),
@@ -306,10 +353,11 @@ impl Service {
         };
         let cfg = match req.config.to_algo() {
             Ok(cfg) => cfg,
-            Err(msg) => return err(self, "bad-request", Some(canonical), msg),
+            Err(msg) => return err("bad-request", Some(canonical), msg),
         };
         let key = CacheKey::new(&req.graph, &req.platform, &canonical, &cfg);
-        let job = if self.cache.contains(&key) || pending.contains_key(&key) {
+        let cached = self.shared().cache.contains(&key);
+        let job = if cached || pending.contains_key(&key) {
             None
         } else {
             pending.insert(key.clone(), jobs.len());
@@ -374,44 +422,46 @@ impl Service {
         }
     }
 
-    fn resolve(
-        &mut self,
-        s: SolveSlot,
-        results: &HashMap<&CacheKey, &(Result<SolutionWire, ErrResponse>, u64)>,
-    ) -> String {
-        if let Some(wire) = self.cache.get(&s.key) {
+    fn resolve(&self, s: SolveSlot, results: &HashMap<&CacheKey, &Solved>) -> String {
+        // A block of its own, so the lock is released before encoding.
+        let hit = {
+            let mut shared = self.shared();
+            let hit = shared.cache.get(&s.key);
+            if hit.is_some() {
+                shared.stats.record_ok(&s.canonical, s.decode_us);
+            }
+            hit
+        };
+        if let Some(wire) = hit {
             // Pre-existing entry or a batch-mate's successful solve.
-            self.stats.record_ok(&s.canonical, s.decode_us);
             return to_line(&OkResponse::new(s.req.id, true, wire));
         }
         // Miss (counted by the failed `get`). Three cases: this line is
         // the primary solver of its key; a duplicate of a primary that
         // failed (errors are not cached, the serial replay fails again
         // identically); or the key's entry was evicted by batch-mates'
-        // inserts after the classification pass — then the serial replay
-        // would re-solve, so do exactly that inline (deterministic).
+        // (or other callers') inserts after the classification pass —
+        // then the serial replay would re-solve, so do exactly that
+        // inline (deterministic), outside the lock.
         let (outcome, solve_us) = match results.get(&s.key).copied() {
             Some((outcome, us)) if s.job.is_some() || outcome.is_err() => (outcome.clone(), *us),
-            _ => {
-                let t0 = Instant::now();
-                let solver = full_solver(&s.req.graph, &s.req.platform);
-                let outcome = match solver.solve(&s.canonical, &s.cfg) {
-                    Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
-                    Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
-                };
-                (outcome, t0.elapsed().as_micros() as u64)
-            }
+            _ => solve(&s.req, &s.canonical, &s.cfg),
         };
         match outcome {
             Ok(wire) => {
-                self.cache.insert(s.key.clone(), wire.clone());
-                self.stats.record_ok(&s.canonical, s.decode_us + solve_us);
-                to_line(&OkResponse::new(s.req.id, false, wire))
+                let reply = OkResponse::new(s.req.id, false, wire);
+                let line = to_line(&reply);
+                let mut shared = self.shared();
+                shared.cache.insert(s.key, reply.solution);
+                shared.stats.record_ok(&s.canonical, s.decode_us + solve_us);
+                line
             }
             Err(mut err) => {
                 err.id = s.req.id;
                 err.heuristic = Some(s.canonical.clone());
-                self.stats.record_error(&err.kind, s.decode_us + solve_us);
+                self.shared()
+                    .stats
+                    .record_error(&err.kind, s.decode_us + solve_us);
                 to_line(&err)
             }
         }

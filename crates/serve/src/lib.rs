@@ -10,7 +10,8 @@
 //!
 //! * [`proto`] — the wire protocol: request/response types and parsing,
 //! * [`engine`] — the [`Service`]: batched, serially equivalent request
-//!   handling over the `ltf_core::par` pool,
+//!   handling over the `ltf_core::par` pool, shareable between threads,
+//! * [`tcp`] — the TCP accept loop, one thread per connection,
 //! * [`cache`] — the [`LruCache`] and instance fingerprints,
 //! * [`stats`] — service-time percentiles and outcome counters.
 //!
@@ -36,6 +37,7 @@ pub mod cache;
 pub mod engine;
 pub mod proto;
 pub mod stats;
+pub mod tcp;
 
 pub use cache::{CacheKey, LruCache};
 pub use engine::{Service, ServiceConfig};

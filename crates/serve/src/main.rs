@@ -8,7 +8,8 @@
 //!   (default)      pipe mode: read LDJSON requests from stdin, write one
 //!                  response line per request to stdout, exit at EOF
 //!   --listen ADDR  TCP mode: accept connections on ADDR (e.g.
-//!                  127.0.0.1:7475), serve each line-by-line
+//!                  127.0.0.1:7475), serve each line-by-line on its own
+//!                  thread
 //!   --soak N       self-test: generate N worked-example-sized requests,
 //!                  serve them in-process, assert zero protocol errors
 //!                  and print the service-time percentiles to stderr
@@ -22,9 +23,8 @@
 
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::process::exit;
-use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -112,21 +112,21 @@ fn main() {
     }
     let service = Service::new(service_config(&opts));
     if let Some(n) = opts.soak {
-        exit(soak(service, n));
+        exit(soak(&service, n));
     }
     match &opts.listen {
-        Some(addr) => serve_tcp(service, addr),
-        None => serve_pipe(service, &opts),
+        Some(addr) => serve_tcp(&service, addr),
+        None => serve_pipe(&service, &opts),
     }
 }
 
 /// Pipe mode: batch stdin lines, answer in order, exit at EOF.
-fn serve_pipe(mut service: Service, opts: &Opts) {
+fn serve_pipe(service: &Service, opts: &Opts) {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut batch = Vec::with_capacity(opts.batch);
-    let mut flush = |service: &mut Service, batch: &mut Vec<String>| {
+    let mut flush = |batch: &mut Vec<String>| {
         for resp in service.handle_lines(batch) {
             writeln!(out, "{resp}").expect("stdout");
         }
@@ -140,20 +140,19 @@ fn serve_pipe(mut service: Service, opts: &Opts) {
         }
         batch.push(line);
         if batch.len() >= opts.batch {
-            flush(&mut service, &mut batch);
+            flush(&mut batch);
         }
     }
     if !batch.is_empty() {
-        flush(&mut service, &mut batch);
+        flush(&mut batch);
     }
     if opts.stats {
         eprintln!("{}", to_line(&service.stats_report()));
     }
 }
 
-/// TCP mode: line-by-line request/response per connection; connections
-/// share the cache and the statistics through a mutex.
-fn serve_tcp(service: Service, addr: &str) {
+/// TCP mode: bind `addr`, announce it, and serve connections forever.
+fn serve_tcp(service: &Service, addr: &str) {
     let listener = match std::net::TcpListener::bind(addr) {
         Ok(l) => l,
         Err(e) => {
@@ -167,40 +166,7 @@ fn serve_tcp(service: Service, addr: &str) {
         Ok(local) => eprintln!("ltf-serve: listening on {local}"),
         Err(_) => eprintln!("ltf-serve: listening on {addr}"),
     }
-    let service = Arc::new(Mutex::new(service));
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ltf-serve: accept failed: {e}");
-                continue;
-            }
-        };
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            let peer = stream.peer_addr().map(|a| a.to_string());
-            let mut writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            };
-            for line in BufReader::new(stream).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let resp = service.lock().expect("service mutex").handle_line(&line);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            if let Ok(peer) = peer {
-                eprintln!("ltf-serve: {peer} disconnected");
-            }
-        });
-    }
+    ltf_serve::tcp::serve(&listener, service);
 }
 
 /// Soak mode: hammer the in-process service with `n` worked-example-sized
@@ -208,7 +174,7 @@ fn serve_tcp(service: Service, addr: &str) {
 /// heuristics, ε, periods and seeds), assert that no request draws a
 /// protocol-level error, and report the percentiles. Returns the process
 /// exit code.
-fn soak(mut service: Service, n: usize) -> i32 {
+fn soak(service: &Service, n: usize) -> i32 {
     let fig1_g = ltf_graph::generate::fig1_diamond();
     let fig1_p = ltf_platform::Platform::fig1_platform();
     let fig2_g = ltf_graph::generate::fig2_workflow_variant();

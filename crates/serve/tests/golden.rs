@@ -77,7 +77,7 @@ fn requests() -> Vec<String> {
 #[test]
 fn golden_pipe_responses() {
     let lines = requests();
-    let mut service = Service::new(ServiceConfig::default());
+    let service = Service::new(ServiceConfig::default());
     let responses = service.handle_lines(&lines);
     let requests_text = lines.join("\n") + "\n";
     let responses_text = responses.join("\n") + "\n";
@@ -110,7 +110,7 @@ fn golden_fixture_sanity() {
     // Independent of the byte-level diff: the committed fixture exercises
     // a cache hit, both error layers, and at least one success per
     // worked example.
-    let mut service = Service::new(ServiceConfig::default());
+    let service = Service::new(ServiceConfig::default());
     let responses = service.handle_lines(&requests());
     assert!(responses.iter().any(|r| r.contains(r#""cached":true"#)));
     assert!(responses.iter().any(|r| r.contains(r#""cached":false"#)));

@@ -201,10 +201,10 @@ fn batch_handling_is_serially_equivalent() {
             cache_capacity: capacity,
             ..ServiceConfig::default()
         };
-        let mut serial = Service::new(config.clone());
+        let serial = Service::new(config.clone());
         let serial_responses: Vec<String> = lines.iter().map(|l| serial.handle_line(l)).collect();
         for &batch in &[4usize, 16, 48] {
-            let mut batched = Service::new(config.clone());
+            let batched = Service::new(config.clone());
             let responses: Vec<String> = lines
                 .chunks(batch)
                 .flat_map(|chunk| batched.handle_lines(chunk))
@@ -221,8 +221,8 @@ fn batch_handling_is_serially_equivalent() {
             assert_eq!(br.cache_misses, sr.cache_misses);
             assert_eq!((br.ok, br.errors), (sr.ok, sr.errors));
             // Identical content *and* identical recency order.
-            let serial_keys: Vec<_> = serial.cache().keys_lru_first().cloned().collect();
-            let batched_keys: Vec<_> = batched.cache().keys_lru_first().cloned().collect();
+            let serial_keys = serial.cached_keys();
+            let batched_keys = batched.cached_keys();
             assert_eq!(batched_keys, serial_keys);
         }
     }

@@ -38,7 +38,7 @@ fn envelope(line: &str) -> (Option<u64>, String, Option<String>, String) {
 
 /// Run one malformed line, assert its error class, then prove the service
 /// still answers a valid request.
-fn assert_error_then_recovery(service: &mut Service, line: &str, expect_kind: &str, needle: &str) {
+fn assert_error_then_recovery(service: &Service, line: &str, expect_kind: &str, needle: &str) {
     let before = service.stats_report().served;
     let resp = service.handle_line(line);
     let (_, status, kind, message) = envelope(&resp);
@@ -56,47 +56,47 @@ fn assert_error_then_recovery(service: &mut Service, line: &str, expect_kind: &s
 
 #[test]
 fn truncated_line() {
-    let mut s = service();
+    let s = service();
     let truncated = &VALID[..VALID.len() / 2];
-    assert_error_then_recovery(&mut s, truncated, "parse", "");
-    assert_error_then_recovery(&mut s, r#"{"id":1,"heuristic":"ltf""#, "parse", "");
+    assert_error_then_recovery(&s, truncated, "parse", "");
+    assert_error_then_recovery(&s, r#"{"id":1,"heuristic":"ltf""#, "parse", "");
     assert_eq!(s.stats_report().errors_by_kind["parse"], 2);
 }
 
 #[test]
 fn unknown_field() {
-    let mut s = service();
+    let s = service();
     let line = VALID.replace(r#""id":100"#, r#""id":1,"priority":"high""#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "unknown field `priority`");
+    assert_error_then_recovery(&s, &line, "bad-request", "unknown field `priority`");
     // Unknown fields nested in the config are caught by the same strict
     // decoding.
     let line = VALID.replace(r#""epsilon":1"#, r#""epsilon":1,"retries":3"#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "unknown field `retries`");
+    assert_error_then_recovery(&s, &line, "bad-request", "unknown field `retries`");
 }
 
 #[test]
 fn wrong_type() {
-    let mut s = service();
+    let s = service();
     let line = VALID.replace(r#""epsilon":1"#, r#""epsilon":"one""#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "epsilon");
+    assert_error_then_recovery(&s, &line, "bad-request", "epsilon");
     let line = VALID.replace(r#""speeds":[1.0,1.0]"#, r#""speeds":"fast""#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "platform");
+    assert_error_then_recovery(&s, &line, "bad-request", "platform");
     let line = VALID.replace(r#""exec":2.0"#, r#""exec":true"#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "exec");
+    assert_error_then_recovery(&s, &line, "bad-request", "exec");
 }
 
 #[test]
 fn missing_field() {
-    let mut s = service();
+    let s = service();
     let line = VALID.replace(r#""heuristic":"rltf","#, "");
-    assert_error_then_recovery(&mut s, &line, "bad-request", "missing field `heuristic`");
+    assert_error_then_recovery(&s, &line, "bad-request", "missing field `heuristic`");
 }
 
 #[test]
 fn unknown_heuristic_name() {
-    let mut s = service();
+    let s = service();
     let line = VALID.replace(r#""heuristic":"rltf""#, r#""heuristic":"magic""#);
-    assert_error_then_recovery(&mut s, &line, "unknown-heuristic", "magic");
+    assert_error_then_recovery(&s, &line, "unknown-heuristic", "magic");
     // The reply echoes the offending name in the heuristic field.
     let resp = s.handle_line(&line);
     assert!(resp.contains(r#""heuristic":"magic""#), "{resp}");
@@ -104,7 +104,7 @@ fn unknown_heuristic_name() {
 
 #[test]
 fn oversized_graph() {
-    let mut s = small_service(4);
+    let s = small_service(4);
     // Five tasks against a four-task limit.
     let tasks: Vec<String> = (0..5)
         .map(|i| format!(r#"{{"name":"t{i}","exec":1.0}}"#))
@@ -124,28 +124,45 @@ fn oversized_graph() {
     assert_eq!(status, "ok");
 }
 
+/// A platform above the engine's 128-processor ceiling is a typed
+/// `too-large`, not an engine assert that takes the daemon down.
+#[test]
+fn oversized_platform() {
+    let s = service();
+    let m = 130;
+    let speeds = vec!["1.0"; m].join(",");
+    let delays: Vec<&str> = (0..m * m)
+        .map(|i| if i / m == i % m { "0.0" } else { "0.5" })
+        .collect();
+    let line = VALID.replace(
+        r#""speeds":[1.0,1.0],"delays":[0.0,0.5,0.5,0.0]"#,
+        &format!(r#""speeds":[{speeds}],"delays":[{}]"#, delays.join(",")),
+    );
+    assert_error_then_recovery(&s, &line, "too-large", "130 processors");
+}
+
 #[test]
 fn invalid_structures_and_values() {
-    let mut s = service();
+    let s = service();
     // Structurally invalid graph (cycle) — rejected by construction.
     let line = VALID.replace(
         r#""edges":[{"src":0,"dst":1,"volume":1.0}]"#,
         r#""edges":[{"src":0,"dst":1,"volume":1.0},{"src":1,"dst":0,"volume":1.0}]"#,
     );
-    assert_error_then_recovery(&mut s, &line, "bad-request", "cyclic");
+    assert_error_then_recovery(&s, &line, "bad-request", "cyclic");
     // Invalid platform (non-zero self-delay).
     let line = VALID.replace(
         r#""delays":[0.0,0.5,0.5,0.0]"#,
         r#""delays":[0.9,0.5,0.5,0.0]"#,
     );
-    assert_error_then_recovery(&mut s, &line, "bad-request", "self-delay");
+    assert_error_then_recovery(&s, &line, "bad-request", "self-delay");
     // Non-positive period.
     let line = VALID.replace(r#""period":30.0"#, r#""period":-1.0"#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "period");
+    assert_error_then_recovery(&s, &line, "bad-request", "period");
     // JSON scalar instead of an object.
-    assert_error_then_recovery(&mut s, "42", "bad-request", "");
+    assert_error_then_recovery(&s, "42", "bad-request", "");
     // Unknown control command.
-    assert_error_then_recovery(&mut s, r#"{"cmd":"shutdown"}"#, "bad-request", "shutdown");
+    assert_error_then_recovery(&s, r#"{"cmd":"shutdown"}"#, "bad-request", "shutdown");
 }
 
 /// The topology platform form: every structural rejection class of the
@@ -153,7 +170,7 @@ fn invalid_structures_and_values() {
 /// well-formed routed request actually solves.
 #[test]
 fn topology_platform_rejections() {
-    let mut s = service();
+    let s = service();
     let with_topology = |links: &str, model: &str| {
         VALID.replace(
             r#""delays":[0.0,0.5,0.5,0.0]"#,
@@ -162,28 +179,28 @@ fn topology_platform_rejections() {
     };
     // Endpoint out of the speed vector's range.
     let line = with_topology("[[0,7,0.5]]", "");
-    assert_error_then_recovery(&mut s, &line, "bad-request", "out of range");
+    assert_error_then_recovery(&s, &line, "bad-request", "out of range");
     // Self-link.
     let line = with_topology("[[1,1,0.5]]", "");
-    assert_error_then_recovery(&mut s, &line, "bad-request", "self-link");
+    assert_error_then_recovery(&s, &line, "bad-request", "self-link");
     // Non-positive link delay.
     let line = with_topology("[[0,1,-0.5]]", "");
-    assert_error_then_recovery(&mut s, &line, "bad-request", "delay is -0.5");
+    assert_error_then_recovery(&s, &line, "bad-request", "delay is -0.5");
     // Disconnected topology (no links at all between the two processors).
     let line = with_topology("[]", "");
-    assert_error_then_recovery(&mut s, &line, "bad-request", "disconnected");
+    assert_error_then_recovery(&s, &line, "bad-request", "disconnected");
     // Unknown communication model tag.
     let line = with_topology("[[0,1,0.5]]", r#","model":"Turbo""#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "unknown variant");
+    assert_error_then_recovery(&s, &line, "bad-request", "unknown variant");
     // Unknown field inside the topology block.
     let line = with_topology("[[0,1,0.5]]", r#","wires":3"#);
-    assert_error_then_recovery(&mut s, &line, "bad-request", "wires");
+    assert_error_then_recovery(&s, &line, "bad-request", "wires");
     // Both forms at once.
     let line = VALID.replace(
         r#""delays":[0.0,0.5,0.5,0.0]"#,
         r#""delays":[0.0,0.5,0.5,0.0],"topology":{"links":[[0,1,0.5]]}"#,
     );
-    assert_error_then_recovery(&mut s, &line, "bad-request", "not both");
+    assert_error_then_recovery(&s, &line, "bad-request", "not both");
     // And the well-formed routed request solves (both modes).
     for model in ["", r#","model":"Contended""#, r#","model":"Uniform""#] {
         let line = with_topology("[[0,1,0.5]]", model).replace(r#""id":100"#, r#""id":101"#);
@@ -196,7 +213,7 @@ fn topology_platform_rejections() {
 fn error_storm_leaves_service_healthy() {
     // A mixed storm of every malformed class, then a burst of valid work:
     // counters add up and the cache still functions.
-    let mut s = service();
+    let s = service();
     let bad = [
         "",
         "{",

@@ -46,7 +46,7 @@ fn field<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
 
 #[test]
 fn shard_reply_matches_in_process_run() {
-    let mut s = service();
+    let s = service();
     let resp = s.handle_line(&shard_line(SPEC, "1/2", 7));
     let v: Value = serde_json::from_str(&resp).expect("reply is JSON");
     assert_eq!(field(&v, "ok"), Some(&Value::Bool(true)), "{resp}");
@@ -80,7 +80,7 @@ fn slo_shard_reply_matches_in_process_run() {
                   "period": 30.0, "policy": "reroute"},
       "slo": {"max_latency": 200.0, "max_violation_rate": 0.1}
     }"#;
-    let mut s = service();
+    let s = service();
     let resp = s.handle_line(&shard_line(SLO_SPEC, "0/2", 11));
     let v: Value = serde_json::from_str(&resp).expect("reply is JSON");
     assert_eq!(field(&v, "ok"), Some(&Value::Bool(true)), "{resp}");
@@ -103,7 +103,7 @@ fn slo_shard_reply_matches_in_process_run() {
 
 #[test]
 fn bad_shard_string_is_rejected() {
-    let mut s = service();
+    let s = service();
     let resp = s.handle_line(&shard_line(SPEC, "5/2", 1));
     let v: Value = serde_json::from_str(&resp).unwrap();
     assert_eq!(field(&v, "ok"), Some(&Value::Bool(false)), "{resp}");
@@ -115,7 +115,7 @@ fn bad_shard_string_is_rejected() {
 
 #[test]
 fn invalid_spec_fails_structurally_and_service_survives() {
-    let mut s = service();
+    let s = service();
     let bad = SPEC.replace("fig2-variant", "fig9");
     let resp = s.handle_line(&shard_line(&bad, "0/1", 2));
     let v: Value = serde_json::from_str(&resp).unwrap();
@@ -156,7 +156,7 @@ fn invalid_spec_fails_structurally_and_service_survives() {
 
 #[test]
 fn unknown_field_in_shard_request_is_a_bad_request() {
-    let mut s = service();
+    let s = service();
     let line = shard_line(SPEC, "0/1", 4).replace(r#""cmd":"shard""#, r#""cmd":"shard","oops":1"#);
     let resp = s.handle_line(&line);
     // Shape errors surface through the standard error envelope (the line
