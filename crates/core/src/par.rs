@@ -16,6 +16,7 @@
 //! filled") that used to mask it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Map `f` over `items` on `threads` scoped workers (atomic work stealing
 /// over the item indices); the output order matches `items`. With one
@@ -82,12 +83,17 @@ where
 
 /// The number of worker threads a `threads` knob with `0 = auto` resolves
 /// to: `available_parallelism()`, falling back to 1 when the platform
-/// cannot report it.
+/// cannot report it. The probe runs once per process: it re-reads cgroup
+/// files on every call (tens of microseconds), and the serve engine
+/// resolves its knob on every request.
 pub fn resolve_threads(threads: usize) -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
     if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     } else {
         threads
     }

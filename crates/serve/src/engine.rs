@@ -1,35 +1,50 @@
-//! The service engine: parses request lines, answers from the LRU cache,
-//! and dispatches the remaining solves onto the shared `ltf_core::par`
-//! pool.
+//! The service engine: parses request lines, answers repeats from its
+//! caches, and dispatches the remaining solves onto the shared
+//! `ltf_core::par` pool.
+//!
+//! # Caches
+//!
+//! A repeated request whose key is still cached is answered without
+//! solving or serializing it again. Solutions live in an [`LruCache`];
+//! failed verdicts (the error reply of a failed solve, in practice
+//! `infeasible`) in a second one with the same capacity and key, looked
+//! up only after the solution cache misses, so the solution cache behaves
+//! exactly as it would alone (see the [`cache`](crate::cache) module docs
+//! for why). A solution enters the cache as its [`SolutionWire`]; its
+//! first hit serializes it, outside the lock, and swaps the entry for
+//! that text (`LruCache::update`, which leaves recency and counters
+//! alone). Later hits splice the text into their reply with [`ok_line`].
+//! A solution that is never reused is never serialized for the cache, and
+//! no entry holds both forms.
 //!
 //! # Determinism
 //!
 //! [`Service::handle_lines`] is *serially equivalent*: responses, cache
-//! contents, eviction order and hit/miss counters are exactly what a
-//! line-at-a-time loop would produce, regardless of batch size or thread
-//! count. Cache decisions and mutations happen serially in line order;
-//! only the (deterministic, pure) solve calls in between run in
-//! parallel. Service *times* are the one non-deterministic output, and
-//! they only ever appear in `{"cmd":"stats"}` replies — solve responses
-//! are bit-stable, which is what makes pipe-mode golden tests possible.
+//! contents, eviction order and hit/miss counters (the verdict cache's
+//! included) are exactly what a line-at-a-time loop would produce,
+//! regardless of batch size or thread count. Cache decisions and
+//! mutations happen serially in line order; only the (deterministic,
+//! pure) solve calls in between run in parallel. Service *times* are the
+//! one non-deterministic output, and they only ever appear in
+//! `{"cmd":"stats"}` replies — solve responses are bit-stable, which is
+//! what makes pipe-mode golden tests possible.
 //!
 //! # Concurrency
 //!
 //! A [`Service`] is shared by reference between callers (the TCP
 //! transport runs one thread per connection). One internal lock guards
-//! the cache and the counters, and it is held only for cache lookups and
-//! inserts and counter updates: parsing, fingerprinting, solving, shard
-//! compute and reply encoding run outside it, in parallel across
-//! callers. Serial equivalence holds for a single caller; with several,
-//! `cached` and the counters reflect how their lines actually
+//! the caches and the counters, and it is held only for cache lookups,
+//! inserts and updates and counter updates: parsing, fingerprinting,
+//! solving, shard compute and reply encoding run outside it, in parallel
+//! across callers. Serial equivalence holds for a single caller; with
+//! several, `cached` and the counters reflect how their lines actually
 //! interleaved (two callers missing on one key both solve it), while the
 //! solution or error in each reply is the one a serial run gives, because
 //! solves are pure.
 
 use crate::cache::{CacheKey, LruCache};
 use crate::proto::{
-    parse_request, to_line, ErrResponse, OkResponse, Request, ShardRequest, SolutionWire,
-    SolveRequest,
+    ok_line, parse_request, to_line, ErrResponse, Request, ShardRequest, SolutionWire, SolveRequest,
 };
 use crate::stats::{ServiceStats, StatsReport};
 use ltf_baselines::full_solver;
@@ -37,8 +52,8 @@ use ltf_core::par::{parallel_map, resolve_threads};
 use ltf_core::shard::Shard;
 use ltf_core::{AlgoConfig, MAX_PROCS};
 use serde::{Serialize, Value};
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`Service`].
@@ -46,7 +61,8 @@ use std::time::Instant;
 pub struct ServiceConfig {
     /// Worker threads for batched solves; `0` = all cores.
     pub threads: usize,
-    /// LRU capacity in cached solutions; `0` disables caching.
+    /// Capacity of each LRU, in cached solutions and in cached failed
+    /// verdicts; `0` disables caching.
     pub cache_capacity: usize,
     /// Reject graphs with more tasks than this (`too-large`).
     pub max_tasks: usize,
@@ -88,11 +104,11 @@ struct StatsReply {
     stats: StatsReport,
 }
 
-/// The scheduler service: registry name table, solution cache and
-/// accounting. One instance serves any number of independent requests,
-/// from any number of threads; the graph/platform travel *in* each
-/// request, so no instance state outlives a line except the cache and the
-/// counters.
+/// The scheduler service: registry name table, solution and verdict
+/// caches, and accounting. One instance serves any number of independent
+/// requests, from any number of threads; the graph/platform travel *in*
+/// each request, so no instance state outlives a line except the caches
+/// and the counters.
 pub struct Service {
     config: ServiceConfig,
     names: Vec<HeuristicInfo>,
@@ -101,8 +117,18 @@ pub struct Service {
 
 /// The state callers share, behind [`Service`]'s one lock.
 struct Shared {
-    cache: LruCache,
+    cache: LruCache<Cached>,
+    /// Error replies of failed solves, `id` unset.
+    verdicts: LruCache<ErrResponse>,
     stats: ServiceStats,
+}
+
+/// A solution-cache entry: the solution as solved until its first hit,
+/// its wire text after.
+#[derive(Clone)]
+enum Cached {
+    Wire(Arc<SolutionWire>),
+    Text(Arc<str>),
 }
 
 /// A solve line after the serial decode pass.
@@ -111,9 +137,9 @@ struct SolveSlot {
     cfg: AlgoConfig,
     canonical: String,
     key: CacheKey,
-    /// Index into the batch's parallel job list; `None` when the answer
-    /// is expected from the cache.
-    job: Option<usize>,
+    /// Whether the batch's parallel pass solves this line: its key was in
+    /// neither cache and no earlier line of the batch carries it.
+    primary: bool,
     /// Microseconds spent decoding and classifying the line.
     decode_us: u64,
 }
@@ -161,6 +187,7 @@ impl Service {
         Self {
             shared: Mutex::new(Shared {
                 cache: LruCache::new(config.cache_capacity),
+                verdicts: LruCache::new(config.cache_capacity),
                 stats: ServiceStats::new(),
             }),
             config,
@@ -203,6 +230,7 @@ impl Service {
             shared.cache.hits(),
             shared.cache.misses(),
             shared.cache.len(),
+            shared.verdicts.hits(),
         )
     }
 
@@ -243,24 +271,24 @@ impl Service {
         // Pass 1 (serial, line order): decode, classify, and decide which
         // lines need a fresh solve. `pending` de-duplicates identical
         // misses inside the batch: the serial replay would solve the
-        // first and answer the rest from cache.
-        let mut slots = Vec::with_capacity(lines.len());
-        let mut jobs: Vec<(CacheKey, Box<SolveRequest>, AlgoConfig, String)> = Vec::new();
-        let mut pending: HashMap<CacheKey, usize> = HashMap::new();
-        for line in lines {
-            slots.push(self.classify(line.as_ref(), &mut jobs, &mut pending));
-        }
+        // first and answer the rest from a cache.
+        let mut pending = HashSet::new();
+        let slots: Vec<Slot> = lines
+            .iter()
+            .map(|line| self.classify(line.as_ref(), &mut pending))
+            .collect();
 
         // Pass 2 (parallel): the actual scheduling work.
-        let threads = resolve_threads(self.config.threads);
-        let solved = parallel_map(&jobs, threads, |(_, req, cfg, canonical)| {
-            solve(req, canonical, cfg)
-        });
-        let results: HashMap<&CacheKey, &Solved> = jobs
+        let primaries: Vec<&SolveSlot> = slots
             .iter()
-            .map(|(key, ..)| key)
-            .zip(solved.iter())
+            .filter_map(|slot| match slot {
+                Slot::Solve(s) if s.primary => Some(s),
+                _ => None,
+            })
             .collect();
+        let threads = resolve_threads(self.config.threads);
+        let mut solved =
+            parallel_map(&primaries, threads, |s| solve(&s.req, &s.canonical, &s.cfg)).into_iter();
 
         // Pass 3 (serial, line order): cache counters, insertions and
         // response assembly — the order-sensitive part.
@@ -268,17 +296,15 @@ impl Service {
             .into_iter()
             .map(|slot| match slot {
                 Slot::Done(line) => line,
-                Slot::Solve(s) => self.resolve(s, &results),
+                Slot::Solve(s) => {
+                    let fresh = if s.primary { solved.next() } else { None };
+                    self.resolve(s, fresh)
+                }
             })
             .collect()
     }
 
-    fn classify(
-        &self,
-        line: &str,
-        jobs: &mut Vec<(CacheKey, Box<SolveRequest>, AlgoConfig, String)>,
-        pending: &mut HashMap<CacheKey, usize>,
-    ) -> Slot {
+    fn classify(&self, line: &str, pending: &mut HashSet<CacheKey>) -> Slot {
         let t0 = Instant::now();
         let req = match parse_request(line) {
             Ok(Request::Stats) => {
@@ -356,20 +382,17 @@ impl Service {
             Err(msg) => return err("bad-request", Some(canonical), msg),
         };
         let key = CacheKey::new(&req.graph, &req.platform, &canonical, &cfg);
-        let cached = self.shared().cache.contains(&key);
-        let job = if cached || pending.contains_key(&key) {
-            None
-        } else {
-            pending.insert(key.clone(), jobs.len());
-            jobs.push((key.clone(), req.clone(), cfg.clone(), canonical.clone()));
-            Some(jobs.len() - 1)
+        let cached = {
+            let shared = self.shared();
+            shared.cache.contains(&key) || shared.verdicts.contains(&key)
         };
+        let primary = !cached && pending.insert(key.clone());
         Slot::Solve(SolveSlot {
             req,
             cfg,
             canonical,
             key,
-            job,
+            primary,
             decode_us: t0.elapsed().as_micros() as u64,
         })
     }
@@ -422,48 +445,87 @@ impl Service {
         }
     }
 
-    fn resolve(&self, s: SolveSlot, results: &HashMap<&CacheKey, &Solved>) -> String {
+    /// Answer one solve line from a cache, from its `fresh` outcome (a
+    /// primary's parallel solve), or by solving it inline.
+    fn resolve(&self, s: SolveSlot, fresh: Option<Solved>) -> String {
+        let id = s.req.id;
         // A block of its own, so the lock is released before encoding.
-        let hit = {
+        let found = {
             let mut shared = self.shared();
-            let hit = shared.cache.get(&s.key);
-            if hit.is_some() {
+            if let Some(entry) = shared.cache.get(&s.key) {
                 shared.stats.record_ok(&s.canonical, s.decode_us);
+                Some(Ok(entry))
+            } else if let Some(err) = shared.verdicts.get(&s.key) {
+                shared.stats.record_error(&err.kind, s.decode_us);
+                Some(Err(err))
+            } else {
+                None
             }
-            hit
         };
-        if let Some(wire) = hit {
-            // Pre-existing entry or a batch-mate's successful solve.
-            return to_line(&OkResponse::new(s.req.id, true, wire));
+        match found {
+            Some(Ok(Cached::Text(text))) => return ok_line(id, true, &text),
+            Some(Ok(Cached::Wire(wire))) => {
+                // First hit: serialize once, keep only the text.
+                let text: Arc<str> = to_line(&*wire).into();
+                self.shared()
+                    .cache
+                    .update(&s.key, Cached::Text(Arc::clone(&text)));
+                return ok_line(id, true, &text);
+            }
+            Some(Err(mut err)) => {
+                err.id = id;
+                return to_line(&err);
+            }
+            None => {}
         }
-        // Miss (counted by the failed `get`). Three cases: this line is
-        // the primary solver of its key; a duplicate of a primary that
-        // failed (errors are not cached, the serial replay fails again
-        // identically); or the key's entry was evicted by batch-mates'
-        // (or other callers') inserts after the classification pass —
-        // then the serial replay would re-solve, so do exactly that
-        // inline (deterministic), outside the lock.
-        let (outcome, solve_us) = match results.get(&s.key).copied() {
-            Some((outcome, us)) if s.job.is_some() || outcome.is_err() => (outcome.clone(), *us),
-            _ => solve(&s.req, &s.canonical, &s.cfg),
-        };
+        // Missed both caches (each miss counted by its failed `get`).
+        // Either this line is its key's primary, or the key's entry was
+        // evicted by batch-mates' (or other callers') inserts after the
+        // classification pass — then the serial replay would re-solve, so
+        // do exactly that inline (deterministic), outside the lock.
+        let (outcome, solve_us) = fresh.unwrap_or_else(|| solve(&s.req, &s.canonical, &s.cfg));
         match outcome {
             Ok(wire) => {
-                let reply = OkResponse::new(s.req.id, false, wire);
-                let line = to_line(&reply);
+                let line = ok_line(id, false, &to_line(&wire));
                 let mut shared = self.shared();
-                shared.cache.insert(s.key, reply.solution);
+                shared.cache.insert(s.key, Cached::Wire(Arc::new(wire)));
                 shared.stats.record_ok(&s.canonical, s.decode_us + solve_us);
                 line
             }
             Err(mut err) => {
-                err.id = s.req.id;
-                err.heuristic = Some(s.canonical.clone());
-                self.shared()
-                    .stats
-                    .record_error(&err.kind, s.decode_us + solve_us);
+                err.heuristic = Some(s.canonical);
+                {
+                    let mut shared = self.shared();
+                    shared.verdicts.insert(s.key, err.clone());
+                    shared.stats.record_error(&err.kind, s.decode_us + solve_us);
+                }
+                err.id = id;
                 to_line(&err)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn first_hit_swaps_the_solution_for_its_text() {
+        let svc = Service::new(ServiceConfig::default());
+        let line = r#"{"id":3,"heuristic":"rltf","graph":{"tasks":[{"name":"a","exec":2.0},{"name":"b","exec":3.0}],"edges":[{"src":0,"dst":1,"volume":1.0}]},"platform":{"speeds":[1.0,1.0],"delays":[0.0,0.5,0.5,0.0]},"config":{"epsilon":1,"period":30.0}}"#;
+        let miss = svc.handle_line(line);
+        let key = svc.cached_keys().pop().expect("the solution was cached");
+        let entry = || svc.shared().cache.get(&key).expect("still cached");
+        assert!(matches!(entry(), Cached::Wire(_)));
+        // The first hit encodes the solution, the next two reuse its text.
+        let hits: Vec<String> = (0..3).map(|_| svc.handle_line(line)).collect();
+        assert!(matches!(entry(), Cached::Text(_)));
+        assert_eq!(
+            hits[0],
+            miss.replacen(r#""cached":false"#, r#""cached":true"#, 1)
+        );
+        assert_eq!(hits[1], hits[0]);
+        assert_eq!(hits[2], hits[0]);
     }
 }

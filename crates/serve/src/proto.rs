@@ -293,6 +293,31 @@ pub fn to_line<T: Serialize>(resp: &T) -> String {
     serde_json::to_string(resp).expect("wire serialization is infallible")
 }
 
+/// The wire line of an `ok` reply around an already encoded solution
+/// (`solution` is `to_line` of a [`SolutionWire`]): the bytes of
+/// `to_line(&OkResponse::new(id, cached, ..))`, built without encoding the
+/// solution again.
+pub fn ok_line(id: Option<u64>, cached: bool, solution: &str) -> String {
+    use std::fmt::Write as _;
+    // The envelope around the solution is at most 68 bytes (a 20-digit id).
+    let mut line = String::with_capacity(solution.len() + 68);
+    line.push_str(r#"{"id":"#);
+    match id {
+        Some(id) => {
+            let _ = write!(line, "{id}");
+        }
+        None => line.push_str("null"),
+    }
+    line.push_str(if cached {
+        r#","status":"ok","cached":true,"solution":"#
+    } else {
+        r#","status":"ok","cached":false,"solution":"#
+    });
+    line.push_str(solution);
+    line.push('}');
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +360,26 @@ mod tests {
         let (kind, msg, _) = parse_request(r#"{"cmd":"stats","verbose":true}"#).unwrap_err();
         assert_eq!(kind, "bad-request");
         assert!(msg.contains("unknown field `verbose`"));
+    }
+
+    #[test]
+    fn ok_line_matches_the_derived_encoding() {
+        let g = ltf_graph::generate::fig1_diamond();
+        let p = Platform::fig1_platform();
+        let sol = ltf_baselines::full_solver(&g, &p)
+            .solve("rltf", &AlgoConfig::new(1, 30.0))
+            .expect("the worked example is feasible");
+        let wire = SolutionWire::from_solution(&sol);
+        let text = to_line(&wire);
+        for id in [Some(7), Some(u64::MAX), None] {
+            for cached in [true, false] {
+                assert_eq!(
+                    ok_line(id, cached, &text),
+                    to_line(&OkResponse::new(id, cached, wire.clone())),
+                    "id {id:?}, cached {cached}"
+                );
+            }
+        }
     }
 
     #[test]

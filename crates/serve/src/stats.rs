@@ -78,8 +78,15 @@ impl ServiceStats {
         self.errors_by_kind.get(kind).copied().unwrap_or(0)
     }
 
-    /// Snapshot the counters and percentile window into a wire report.
-    pub fn report(&self, cache_hits: u64, cache_misses: u64, cache_len: usize) -> StatsReport {
+    /// Snapshot the counters and percentile window into a wire report,
+    /// with the solution cache's counters and the verdict cache's hits.
+    pub fn report(
+        &self,
+        cache_hits: u64,
+        cache_misses: u64,
+        cache_len: usize,
+        verdict_hits: u64,
+    ) -> StatsReport {
         let mut window = self.ring.clone();
         window.sort_unstable();
         let lookups = cache_hits + cache_misses;
@@ -97,6 +104,7 @@ impl ServiceStats {
             } else {
                 cache_hits as f64 / lookups as f64
             },
+            verdict_hits,
             window: window.len(),
             p50_us: percentile_sorted_u64(&window, 50.0),
             p90_us: percentile_sorted_u64(&window, 90.0),
@@ -119,14 +127,17 @@ pub struct StatsReport {
     pub errors_by_kind: BTreeMap<String, u64>,
     /// Successful replies per canonical heuristic name.
     pub by_heuristic: BTreeMap<String, u64>,
-    /// Cache hits over the service lifetime.
+    /// Solution-cache hits over the service lifetime.
     pub cache_hits: u64,
-    /// Cache misses over the service lifetime.
+    /// Solution-cache misses over the service lifetime.
     pub cache_misses: u64,
     /// Solutions currently cached.
     pub cache_len: usize,
     /// `cache_hits / (cache_hits + cache_misses)`, 0 before any lookup.
     pub cache_hit_ratio: f64,
+    /// Requests answered from the failed-verdict cache over the service
+    /// lifetime (each is also a solution-cache miss).
+    pub verdict_hits: u64,
     /// Service times currently in the percentile window.
     pub window: usize,
     /// Median service time, microseconds (nearest-rank over the window).
@@ -164,11 +175,12 @@ mod tests {
         s.record_ok("ltf", 300);
         s.record_ok("rltf", 200);
         s.record_error("parse", 5);
-        let r = s.report(3, 1, 2);
+        let r = s.report(3, 1, 2, 5);
         assert_eq!((r.served, r.ok, r.errors), (4, 3, 1));
         assert_eq!(r.by_heuristic["ltf"], 2);
         assert_eq!(r.errors_by_kind["parse"], 1);
         assert_eq!(r.cache_hit_ratio, 0.75);
+        assert_eq!(r.verdict_hits, 5);
         assert_eq!(r.window, 4);
         assert_eq!(r.p50_us, 100);
         assert_eq!(r.max_us, 300);
@@ -180,7 +192,7 @@ mod tests {
         for i in 0..(RING_CAPACITY as u64 + 10) {
             s.record_ok("ltf", i);
         }
-        let r = s.report(0, 0, 0);
+        let r = s.report(0, 0, 0, 0);
         assert_eq!(r.window, RING_CAPACITY);
         // The oldest 10 samples were overwritten.
         assert_eq!(r.max_us, RING_CAPACITY as u64 + 9);

@@ -1,7 +1,8 @@
 //! LRU cache properties: capacity-bounded eviction in recency order,
-//! case-insensitive heuristic-name keying, and hit/miss counters that
-//! match a naive unbounded-map replay. Also the engine-level property
-//! the protocol relies on: batch handling is serially equivalent.
+//! in-place updates that leave recency alone, case-insensitive
+//! heuristic-name keying, and hit/miss counters that match a naive
+//! unbounded-map replay. Also the engine-level property the protocol
+//! relies on: batch handling is serially equivalent.
 
 use ltf_core::AlgoConfig;
 use ltf_graph::generate::{fig1_diamond, layered, LayeredConfig};
@@ -63,6 +64,32 @@ fn zero_capacity_disables_caching() {
     assert!(cache.is_empty());
     assert!(cache.get(&k).is_none());
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
+}
+
+/// `update` swaps a value in place: recency and counters stay as they
+/// were, and an absent key is not inserted.
+#[test]
+fn update_keeps_recency_and_counters() {
+    let (g, p) = instance();
+    let keys: Vec<CacheKey> = (0..3).map(|s| key_for(&g, &p, "ltf", s)).collect();
+    let mut cache: LruCache<u32> = LruCache::new(2);
+    cache.insert(keys[0].clone(), 0);
+    cache.insert(keys[1].clone(), 1);
+    assert_eq!(cache.get(&keys[1]), Some(1));
+    let counters = (cache.hits(), cache.misses());
+    cache.update(&keys[0], 10);
+    cache.update(&keys[2], 12);
+    assert_eq!((cache.hits(), cache.misses()), counters);
+    assert!(!cache.contains(&keys[2]), "an absent key stays absent");
+    assert_eq!(
+        cache.keys_lru_first().collect::<Vec<_>>(),
+        [&keys[0], &keys[1]]
+    );
+    // The updated entry is still the least recently used one.
+    cache.insert(keys[2].clone(), 2);
+    assert!(!cache.contains(&keys[0]));
+    cache.update(&keys[1], 11);
+    assert_eq!(cache.get(&keys[1]), Some(11));
 }
 
 #[test]
@@ -167,14 +194,18 @@ fn counters_match_naive_map_replay() {
 
 /// The engine invariant everything above feeds into: batched handling is
 /// serially equivalent — same responses, same counters, same cache
-/// content — regardless of batch size, even with duplicate requests and
-/// tiny cache capacities forcing in-batch evictions.
+/// content — regardless of batch size, even with duplicate requests,
+/// repeated infeasible keys and tiny cache capacities forcing in-batch
+/// evictions from both caches.
 #[test]
 fn batch_handling_is_serially_equivalent() {
     let (g, p) = instance();
     let mut rng = StdRng::seed_from_u64(0x5E_41);
     let heuristics = ["ltf", "RLTF", "fault-free", "heft"];
-    let lines: Vec<String> = (0..48)
+    // Period 1 is below every diamond task's time on the fastest
+    // processor (15 / 1.5), so those solves fail.
+    let periods = [30.0, 40.0, 1.0];
+    let lines: Vec<String> = (0..64)
         .map(|i| {
             let heuristic = heuristics[rng.gen_range(0usize..heuristics.len())];
             let req = ltf_serve::SolveRequest {
@@ -184,7 +215,7 @@ fn batch_handling_is_serially_equivalent() {
                 platform: p.clone(),
                 config: ltf_serve::proto::RequestConfig {
                     epsilon: rng.gen_range(0u8..2),
-                    period: [30.0, 40.0][rng.gen_range(0usize..2)],
+                    period: periods[rng.gen_range(0usize..periods.len())],
                     chunk_size: None,
                     seed: Some(rng.gen_range(0u64..3)),
                     use_one_to_one: None,
@@ -203,7 +234,13 @@ fn batch_handling_is_serially_equivalent() {
         };
         let serial = Service::new(config.clone());
         let serial_responses: Vec<String> = lines.iter().map(|l| serial.handle_line(l)).collect();
-        for &batch in &[4usize, 16, 48] {
+        let sr = serial.stats_report();
+        assert!(sr.errors_by_kind["infeasible"] > 0);
+        if capacity == 64 {
+            // Both caches answer repeats when nothing is evicted.
+            assert!(sr.cache_hits > 0 && sr.verdict_hits > 0, "{sr:?}");
+        }
+        for &batch in &[4usize, 16, 64] {
             let batched = Service::new(config.clone());
             let responses: Vec<String> = lines
                 .chunks(batch)
@@ -213,13 +250,15 @@ fn batch_handling_is_serially_equivalent() {
                 responses, serial_responses,
                 "capacity {capacity}, batch {batch}"
             );
-            let (sr, br) = (serial.stats_report(), batched.stats_report());
+            let br = batched.stats_report();
             assert_eq!(
-                br.cache_hits, sr.cache_hits,
+                (br.cache_hits, br.cache_misses, br.verdict_hits),
+                (sr.cache_hits, sr.cache_misses, sr.verdict_hits),
                 "capacity {capacity}, batch {batch}"
             );
-            assert_eq!(br.cache_misses, sr.cache_misses);
             assert_eq!((br.ok, br.errors), (sr.ok, sr.errors));
+            assert_eq!(br.errors_by_kind, sr.errors_by_kind);
+            assert_eq!(br.cache_len, sr.cache_len);
             // Identical content *and* identical recency order.
             let serial_keys = serial.cached_keys();
             let batched_keys = batched.cached_keys();

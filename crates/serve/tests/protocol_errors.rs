@@ -209,6 +209,33 @@ fn topology_platform_rejections() {
     }
 }
 
+/// A failed verdict is answered from the verdict cache: ten repeats of
+/// the golden fixture's infeasible request get ten identical replies,
+/// while the solution cache counts every one of them as a miss.
+#[test]
+fn repeated_infeasible_request() {
+    let golden = |file: &str| {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path)
+            .expect("golden fixture")
+            .lines()
+            .find(|l| l.starts_with(r#"{"id":7,"#))
+            .expect("the fixture's infeasible line")
+            .to_string()
+    };
+    let (request, response) = (golden("requests.jsonl"), golden("responses.jsonl"));
+    let s = service();
+    for _ in 0..10 {
+        assert_eq!(s.handle_line(&request), response);
+    }
+    let report = s.stats_report();
+    assert_eq!((report.cache_hits, report.cache_misses), (0, 10));
+    assert_eq!(report.verdict_hits, 9);
+    assert_eq!(report.errors_by_kind["infeasible"], 10);
+    let (id, status, ..) = envelope(&s.handle_line(VALID));
+    assert_eq!((id, status.as_str()), (Some(100), "ok"));
+}
+
 #[test]
 fn error_storm_leaves_service_healthy() {
     // A mixed storm of every malformed class, then a burst of valid work:
