@@ -1,13 +1,17 @@
 //! Simulator throughput: items pushed through the discrete-event ASAP
-//! engine and the synchronous window model per second, plus the failure
-//! analysis used by the crash experiments.
+//! engine and the synchronous window model per second, a crash-trace
+//! replay under re-routing, plus the failure analysis used by the crash
+//! experiments.
 
 use criterion::{black_box, Criterion};
 use ltf_bench::quick_criterion;
 use ltf_core::{AlgoConfig, Heuristic, PreparedInstance, Rltf};
 use ltf_experiments::workload::{gen_instance, PaperWorkload};
 use ltf_schedule::{failures, CrashSet};
-use ltf_sim::{asap, synchronous, AsapConfig, SynchronousConfig};
+use ltf_sim::{
+    asap, asap_trace, synchronous, AsapConfig, CrashTrace, RecoveryPolicy, SynchronousConfig,
+    TraceConfig,
+};
 
 fn main() {
     let mut c: Criterion = quick_criterion();
@@ -27,6 +31,32 @@ fn main() {
     group.bench_function("asap_100_items", |b| {
         let cfg = AsapConfig::new(100);
         b.iter(|| asap(black_box(&inst.graph), black_box(&sched), black_box(&cfg)))
+    });
+    group.bench_function("asap_trace_reroute_64_items", |b| {
+        // Every processor dies at a finite time, so every crash event
+        // fires; every sixth one dies inside the 64-item horizon and
+        // triggers re-routes.
+        let m = inst.platform.num_procs();
+        let horizon = 64.0 * sched.period();
+        let times = (0..m)
+            .map(|u| match u % 6 {
+                1 => horizon * (u + 1) as f64 / (m + 1) as f64,
+                _ => horizon * (2 + u) as f64,
+            })
+            .collect();
+        let cfg = TraceConfig::new(
+            64,
+            CrashTrace::from_crash_times(times),
+            RecoveryPolicy::Reroute,
+        );
+        b.iter(|| {
+            asap_trace(
+                black_box(&inst.graph),
+                black_box(&inst.platform),
+                black_box(&sched),
+                black_box(&cfg),
+            )
+        })
     });
     group.bench_function("synchronous_100_items", |b| {
         let cfg = SynchronousConfig::new(100);

@@ -1,15 +1,17 @@
 //! SLO-campaign determinism and replay-property tests: the rendered
 //! report must be byte-identical across thread counts and shard
-//! partitions (the contract the distributed coordinator builds on), and
-//! the replay layer must respect the paper's structural orderings —
-//! eager execution never increases a produced item's latency, and more
+//! partitions (the contract the distributed coordinator builds on), the
+//! ASAP re-route replay must reproduce its committed goldens, and the
+//! replay layer must respect the paper's structural orderings — eager
+//! execution never increases a produced item's latency, and more
 //! replication never loses more items on the same crash traces.
 
 use ltf_baselines::full_solver;
 use ltf_core::shard::Shard;
 use ltf_core::AlgoConfig;
 use ltf_experiments::campaign::{
-    build_slo_report, run_serial, run_shard, CampaignSpec, Merger, SloItemResult, SloKind,
+    build_slo_report, run_serial, run_shard, CampaignKind, CampaignSpec, Merger, SloItemResult,
+    SloKind,
 };
 use ltf_experiments::pareto::ParetoInstance;
 use ltf_faultlab::{replay, FailureModel, ReplayConfig, SimEngine};
@@ -65,6 +67,28 @@ fn report_is_byte_identical_across_threads_and_shards() {
             baseline.json_lines(),
             "{n}-way sharding leaked into the report"
         );
+    }
+}
+
+/// The ASAP re-route replay pinned byte for byte: each example spec's
+/// serial report must equal its committed golden, on the matrix platform
+/// and on its Contended chain twin (the link-horizon path).
+#[test]
+fn asap_reroute_reports_match_goldens() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for (spec, golden) in [
+        ("docs/examples/slo-asap.json", "slo-asap.jsonl"),
+        ("docs/examples/slo-asap-chain.json", "slo-asap-chain.jsonl"),
+    ] {
+        let text = std::fs::read_to_string(format!("{root}/{spec}")).unwrap();
+        let spec = CampaignSpec::parse(&text).unwrap();
+        let kind = SloKind::new(&spec, spec.failure.as_ref().unwrap()).unwrap();
+        let lines = kind.render(&run_serial(&kind, 1, None).unwrap()).unwrap();
+        let got: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let want =
+            std::fs::read_to_string(format!("{root}/crates/experiments/tests/golden/{golden}"))
+                .unwrap();
+        assert!(got == want, "{golden}: ASAP replay drifted from the golden");
     }
 }
 
