@@ -21,11 +21,12 @@
 //! * [`ThroughputFirst`] — the greedy stage partitioning, which already
 //!   emits a [`Schedule`].
 //!
-//! All adapters check condition (1) — per-processor compute and port
-//! loads within the period — and fail with
-//! [`ScheduleError::Overloaded`] naming the violating processor, or
-//! [`ScheduleError::Unsupported`] when asked for a replication degree the
-//! strategy cannot express.
+//! All adapters first run [`PreparedInstance::check`] (a finite positive
+//! period, and an instance whose busy time fits an `f64`), then check
+//! condition (1) — per-processor compute and port loads within the
+//! period — and fail with [`ScheduleError::Overloaded`] naming the
+//! violating processor, or [`ScheduleError::Unsupported`] when asked for a
+//! replication degree the strategy cannot express.
 //!
 //! ```
 //! use ltf_baselines::full_solver;
@@ -47,23 +48,8 @@ use ltf_graph::TaskGraph;
 use ltf_platform::{Platform, ProcId};
 use ltf_schedule::{CommEvent, ReplicaId, Schedule, ScheduleData, SourceChoice, EPS};
 
-/// The same period validation the core driver applies: a NaN, infinite
-/// or non-positive period is a configuration error, never a feasible
-/// mapping (the `load > period + EPS` overload checks are vacuously
-/// false for NaN/+inf and must not be reached).
-fn require_valid_period(cfg: &AlgoConfig) -> Result<(), ScheduleError> {
-    if !(cfg.period.is_finite() && cfg.period > 0.0) {
-        return Err(ScheduleError::BadConfig(format!(
-            "period must be positive, got {}",
-            cfg.period
-        )));
-    }
-    Ok(())
-}
-
 /// Reject replication for single-copy strategies.
 fn require_epsilon_zero(strategy: &str, cfg: &AlgoConfig) -> Result<(), ScheduleError> {
-    require_valid_period(cfg)?;
     if cfg.epsilon != 0 {
         return Err(ScheduleError::Unsupported(format!(
             "{strategy} does not replicate; requested ε = {} (use ε = 0)",
@@ -88,55 +74,9 @@ fn check_condition1(p: &Platform, sched: Schedule) -> Result<Schedule, ScheduleE
     Ok(sched)
 }
 
-/// Project a single-copy makespan schedule into the ε = 0 pipelined model.
-fn single_copy_schedule(
-    g: &TaskGraph,
-    p: &Platform,
-    ms: &MakespanSchedule,
-    period: f64,
-) -> Schedule {
-    let sources: Vec<Vec<SourceChoice>> = g
-        .tasks()
-        .map(|t| {
-            g.pred_edges(t)
-                .iter()
-                .map(|&e| SourceChoice::one(e, 0))
-                .collect()
-        })
-        .collect();
-    let comm_events: Vec<CommEvent> = ms
-        .comms
-        .iter()
-        .map(|c| {
-            let e = g.edge(c.edge);
-            CommEvent {
-                edge: c.edge,
-                src: ReplicaId::new(e.src, 0),
-                dst: ReplicaId::new(e.dst, 0),
-                src_proc: ms.proc_of[e.src.index()],
-                dst_proc: ms.proc_of[e.dst.index()],
-                start: c.start,
-                finish: c.finish,
-            }
-        })
-        .collect();
-    Schedule::new(
-        g,
-        p,
-        ScheduleData {
-            epsilon: 0,
-            period,
-            proc_of: ms.proc_of.clone(),
-            start: ms.start.clone(),
-            finish: ms.finish.clone(),
-            sources,
-            comm_events,
-        },
-    )
-}
-
 /// Combine per-lane makespan schedules (disjoint processor sets, lane `k`
-/// hosting copy `k` of every task) into one replicated schedule.
+/// hosting copy `k` of every task) into one replicated schedule. A single
+/// lane is the ε = 0 projection of one makespan schedule.
 fn lanes_schedule(
     g: &TaskGraph,
     p: &Platform,
@@ -208,11 +148,12 @@ impl Heuristic for Heft {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        inst.check(cfg)?;
         require_epsilon_zero("heft", cfg)?;
         let (g, p) = (inst.graph(), inst.platform());
         let procs: Vec<ProcId> = p.procs().collect();
         let ms = makespan::heft(g, p, &procs);
-        check_condition1(p, single_copy_schedule(g, p, &ms, cfg.period))
+        check_condition1(p, lanes_schedule(g, p, &[ms], cfg.period))
     }
 }
 
@@ -231,11 +172,12 @@ impl Heuristic for Etf {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        inst.check(cfg)?;
         require_epsilon_zero("etf", cfg)?;
         let (g, p) = (inst.graph(), inst.platform());
         let procs: Vec<ProcId> = p.procs().collect();
         let ms = makespan::etf(g, p, &procs);
-        check_condition1(p, single_copy_schedule(g, p, &ms, cfg.period))
+        check_condition1(p, lanes_schedule(g, p, &[ms], cfg.period))
     }
 }
 
@@ -259,7 +201,7 @@ impl Heuristic for TaskParallel {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
-        require_valid_period(cfg)?;
+        inst.check(cfg)?;
         let (g, p) = (inst.graph(), inst.platform());
         let nrep = cfg.replicas();
         if p.num_procs() < nrep {
@@ -295,7 +237,7 @@ impl Heuristic for DataParallel {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
-        require_valid_period(cfg)?;
+        inst.check(cfg)?;
         let (g, p) = (inst.graph(), inst.platform());
         let nrep = cfg.replicas();
         if p.num_procs() < nrep {
@@ -374,6 +316,7 @@ impl Heuristic for ThroughputFirst {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        inst.check(cfg)?;
         require_epsilon_zero("throughput-first", cfg)?;
         throughput_first(inst.graph(), inst.platform(), cfg.period).map_err(|e| {
             ScheduleError::Infeasible {

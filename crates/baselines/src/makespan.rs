@@ -6,8 +6,9 @@
 //! a message occupies the sender's send port and the receiver's receive
 //! port; port reservations use earliest-gap insertion.
 
-use ltf_graph::{levels, EdgeId, TaskGraph, TaskId, Weights};
-use ltf_platform::{AverageWeightsInput, Platform, ProcId};
+use ltf_core::LevelCache;
+use ltf_graph::{EdgeId, TaskGraph, TaskId};
+use ltf_platform::{Platform, ProcId};
 use ltf_schedule::intervals::earliest_common_fit;
 use ltf_schedule::IntervalSet;
 
@@ -163,14 +164,7 @@ impl<'a> MapState<'a> {
 /// insertion-based finish time.
 pub fn heft(g: &TaskGraph, p: &Platform, procs: &[ProcId]) -> MakespanSchedule {
     assert!(!procs.is_empty());
-    let exec: Vec<f64> = g.tasks().map(|t| g.exec(t)).collect();
-    let volume: Vec<f64> = g.edge_ids().map(|e| g.edge(e).volume).collect();
-    let avg = p.average_weights(&AverageWeightsInput {
-        exec: &exec,
-        volume: &volume,
-    });
-    let w = Weights::new(avg.node, avg.edge);
-    let rank = levels::bottom_levels(g, &w);
+    let rank = LevelCache::compute(g, p).bottom;
     // Priority scheduling loop: always map the ready task with the highest
     // upward rank (equivalent to HEFT's rank-sorted order, but robust to
     // zero-weight rank ties that could break topological feasibility).
@@ -210,14 +204,7 @@ pub fn heft(g: &TaskGraph, p: &Platform, procs: &[ProcId]) -> MakespanSchedule {
 /// rank.
 pub fn etf(g: &TaskGraph, p: &Platform, procs: &[ProcId]) -> MakespanSchedule {
     assert!(!procs.is_empty());
-    let exec: Vec<f64> = g.tasks().map(|t| g.exec(t)).collect();
-    let volume: Vec<f64> = g.edge_ids().map(|e| g.edge(e).volume).collect();
-    let avg = p.average_weights(&AverageWeightsInput {
-        exec: &exec,
-        volume: &volume,
-    });
-    let w = Weights::new(avg.node, avg.edge);
-    let rank = levels::bottom_levels(g, &w);
+    let rank = LevelCache::compute(g, p).bottom;
 
     let mut st = MapState::new(g, p, procs);
     let mut indeg: Vec<usize> = g.tasks().map(|t| g.in_degree(t)).collect();

@@ -9,8 +9,9 @@
 //! stage count, which is exactly the deficiency R-LTF addresses; the
 //! emitted [`Schedule`] makes the comparison measurable.
 
-use ltf_graph::{levels, TaskGraph, TaskId, Weights};
-use ltf_platform::{AverageWeightsInput, Platform, ProcId};
+use ltf_core::LevelCache;
+use ltf_graph::{TaskGraph, TaskId};
+use ltf_platform::{Platform, ProcId};
 use ltf_schedule::intervals::earliest_common_fit;
 use ltf_schedule::{CommEvent, IntervalSet, ReplicaId, Schedule, ScheduleData, SourceChoice, EPS};
 
@@ -35,14 +36,7 @@ pub fn throughput_first(g: &TaskGraph, p: &Platform, period: f64) -> Result<Sche
     let m = p.num_procs();
     let v = g.num_tasks();
 
-    let exec: Vec<f64> = g.tasks().map(|t| g.exec(t)).collect();
-    let volume: Vec<f64> = g.edge_ids().map(|e| g.edge(e).volume).collect();
-    let avg = p.average_weights(&AverageWeightsInput {
-        exec: &exec,
-        volume: &volume,
-    });
-    let w = Weights::new(avg.node, avg.edge);
-    let prio = levels::priorities(g, &w);
+    let prio = LevelCache::compute(g, p).base_prio;
 
     let mut proc_of = vec![ProcId(0); v];
     let mut start = vec![0.0f64; v];

@@ -25,8 +25,7 @@
 //! decodes and renders the results.
 
 use ltf_experiments::campaign::{campaign_of, CampaignSpec, WireMerger};
-use ltf_experiments::checkpoint::{as_bool, as_str, as_u64, field};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -310,16 +309,24 @@ enum WorkerLine {
     Done { items: u64 },
 }
 
+/// The worker's closing `{"done":true,"shard":"K/N","items":N}` line.
+/// Result lines never carry a `done` key, so they fail this strict decode.
+#[derive(Deserialize)]
+struct DoneLine {
+    done: bool,
+    #[allow(dead_code)]
+    shard: Option<String>,
+    items: Option<u64>,
+}
+
 fn parse_worker_line(line: &str) -> Option<WorkerLine> {
     let v: Value = serde_json::from_str(line).ok()?;
-    if let Some(done) = field(&v, "done").and_then(as_bool) {
-        if done {
-            let items = field(&v, "items").and_then(as_u64).unwrap_or(0);
-            return Some(WorkerLine::Done { items });
-        }
-        return None;
+    match DoneLine::from_value(&v) {
+        Ok(d) => d.done.then(|| WorkerLine::Done {
+            items: d.items.unwrap_or(0),
+        }),
+        Err(_) => Some(WorkerLine::Result(v)),
     }
-    Some(WorkerLine::Result(v))
 }
 
 /// The `{"cmd":"shard",...}` request line for shard `k` of `n`, with the
@@ -334,20 +341,42 @@ pub fn shard_request_line(spec: &CampaignSpec, k: usize, n: usize, id: u64) -> S
     serde_json::to_string(&v).expect("value writer is infallible")
 }
 
+/// A daemon's reply to a `shard` request: the shard reply (`ok`, `id`,
+/// `shard`, `items`, `results`, or `error`, `message`), or the generic
+/// error reply (`id`, `status`, `kind`, `heuristic`, `message`).
+#[derive(Deserialize)]
+struct ShardReply {
+    ok: Option<bool>,
+    #[allow(dead_code)]
+    id: Option<u64>,
+    #[allow(dead_code)]
+    shard: Option<String>,
+    #[allow(dead_code)]
+    items: Option<u64>,
+    results: Option<Vec<Value>>,
+    error: Option<String>,
+    message: Option<String>,
+    #[allow(dead_code)]
+    status: Option<String>,
+    #[allow(dead_code)]
+    kind: Option<String>,
+    #[allow(dead_code)]
+    heuristic: Option<String>,
+}
+
 /// Split a `shard` response line into its wire-form results, surfacing
 /// protocol errors (`"ok":false` replies) as text.
 pub fn parse_shard_response(line: &str) -> Result<Vec<Value>, String> {
-    let v: Value =
+    let reply: ShardReply =
         serde_json::from_str(line).map_err(|e| format!("unparseable shard response: {e}"))?;
-    if field(&v, "ok").and_then(as_bool) != Some(true) {
-        let kind = field(&v, "error").and_then(as_str).unwrap_or("unknown");
-        let msg = field(&v, "message").and_then(as_str).unwrap_or("");
+    if reply.ok != Some(true) {
+        let kind = reply.error.as_deref().unwrap_or("unknown");
+        let msg = reply.message.as_deref().unwrap_or("");
         return Err(format!("worker rejected shard: {kind}: {msg}"));
     }
-    let Some(Value::Seq(items)) = field(&v, "results") else {
-        return Err("shard response has no results array".into());
-    };
-    Ok(items.clone())
+    reply
+        .results
+        .ok_or_else(|| "shard response has no results array".into())
 }
 
 /// Run shard `k` remotely: one TCP connection, one request line, one
@@ -393,15 +422,19 @@ mod tests {
 
     #[test]
     fn shard_request_roundtrips_through_value() {
+        #[derive(Deserialize)]
+        struct Request {
+            cmd: String,
+            id: u64,
+            spec: CampaignSpec,
+            shard: String,
+        }
         let spec = tiny_spec();
-        let line = shard_request_line(&spec, 1, 4, 7);
-        let v: Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(field(&v, "cmd").and_then(as_str), Some("shard"));
-        assert_eq!(field(&v, "shard").and_then(as_str), Some("1/4"));
-        assert_eq!(field(&v, "id").and_then(as_u64), Some(7));
-        let spec_v = field(&v, "spec").unwrap();
-        let decoded = CampaignSpec::from_value(spec_v).unwrap();
-        assert_eq!(decoded, spec);
+        let req: Request = serde_json::from_str(&shard_request_line(&spec, 1, 4, 7)).unwrap();
+        assert_eq!(req.cmd, "shard");
+        assert_eq!(req.shard, "1/4");
+        assert_eq!(req.id, 7);
+        assert_eq!(req.spec, spec);
     }
 
     #[test]
@@ -418,6 +451,15 @@ mod tests {
         assert!(err.contains("unparseable"), "{err}");
         let err = parse_shard_response(r#"{"ok":true}"#).unwrap_err();
         assert!(err.contains("no results"), "{err}");
+        // The daemon's generic error reply, for a request line it rejected.
+        let err = parse_shard_response(
+            r#"{"id":3,"status":"error","kind":"bad-request","heuristic":null,"message":"spec: bad"}"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("rejected shard") && err.contains("spec: bad"),
+            "{err}"
+        );
     }
 
     #[test]

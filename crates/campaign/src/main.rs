@@ -20,6 +20,7 @@
 use ltf_campaign::{run_campaign, serial_lines, Mode, RunConfig};
 use ltf_core::shard::Shard;
 use ltf_experiments::campaign::{campaign_of, worker_main, CampaignSpec};
+use ltf_experiments::take;
 use std::path::PathBuf;
 
 #[derive(Debug)]
@@ -38,20 +39,6 @@ struct Opts {
     verify: bool,
     shard: Shard,
     checkpoint: Option<PathBuf>,
-}
-
-/// Pull the next argument as `flag`'s value and parse it (same diagnostic
-/// shape as the `ltf-experiments` CLI: `flag: got 'X', expected <what>`).
-fn take<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let raw = args
-        .next()
-        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
 }
 
 fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {

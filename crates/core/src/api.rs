@@ -23,6 +23,7 @@ pub(crate) fn ltf_cached(
     inst: &PreparedInstance<'_>,
     cfg: &AlgoConfig,
 ) -> Result<Schedule, ScheduleError> {
+    inst.check(cfg)?;
     let (g, p) = (inst.graph(), inst.platform());
     let mut engine = Engine::new(g, p, cfg);
     driver::run(&mut engine, cfg, Policy::Ltf, inst.levels_forward())?;
@@ -44,6 +45,7 @@ pub(crate) fn rltf_cached(
     inst: &PreparedInstance<'_>,
     cfg: &AlgoConfig,
 ) -> Result<Schedule, ScheduleError> {
+    inst.check(cfg)?;
     let (g, p) = (inst.graph(), inst.platform());
     let mut engine = Engine::new_reversed(inst.reversed(), g, inst.reversal(), p, cfg);
     driver::run(&mut engine, cfg, Policy::Rltf, inst.levels_reversed())?;
@@ -57,9 +59,10 @@ pub(crate) fn rltf_cached(
 }
 
 /// A `(graph, platform)` pair with the period-independent derivations —
-/// the reversed graph for bottom-up traversals and the platform-averaged
-/// level caches for both directions — computed lazily, at most once, and
-/// shared by every schedule attempt on the instance.
+/// the reversed graph for bottom-up traversals, the platform-averaged
+/// level caches for both directions and the busy-time totals of
+/// [`PreparedInstance::check`] — computed lazily, at most once, and shared
+/// by every schedule attempt on the instance.
 ///
 /// The objective-space searches probe the same instance at dozens of
 /// candidate periods (or ε values); preparing once keeps each probe's
@@ -74,6 +77,7 @@ pub struct PreparedInstance<'a> {
     fwd_cache: OnceLock<LevelCache>,
     rev_cache: OnceLock<LevelCache>,
     rev_slots: OnceLock<Vec<u32>>,
+    busy: OnceLock<(f64, f64)>,
 }
 
 impl<'a> PreparedInstance<'a> {
@@ -87,7 +91,39 @@ impl<'a> PreparedInstance<'a> {
             fwd_cache: OnceLock::new(),
             rev_cache: OnceLock::new(),
             rev_slots: OnceLock::new(),
+            busy: OnceLock::new(),
         }
+    }
+
+    /// The checks every heuristic runs before it places anything. The
+    /// period must be finite and positive: the `load > Δ + EPS` overload
+    /// checks are vacuously false for NaN or `+∞`. And the instance's
+    /// total busy time at `cfg.epsilon`, `(ε+1)·Σ exec / s_min +
+    /// (ε+1)²·Σ vol · d_max`, must be finite: an infinite task or message
+    /// interval would enter a port timeline, where no gap ever fits it.
+    /// Both failures are [`ScheduleError::BadConfig`].
+    pub fn check(&self, cfg: &AlgoConfig) -> Result<(), ScheduleError> {
+        if !(cfg.period.is_finite() && cfg.period > 0.0) {
+            return Err(ScheduleError::BadConfig(format!(
+                "period must be positive, got {}",
+                cfg.period
+            )));
+        }
+        let (exec, comm) = *self.busy.get_or_init(|| {
+            (
+                self.p.slowest_exec_time(self.g.total_exec()),
+                self.p.slowest_comm_time(self.g.total_volume()),
+            )
+        });
+        let copies = cfg.replicas() as f64;
+        let busy = copies * exec + copies * copies * comm;
+        if !busy.is_finite() {
+            return Err(ScheduleError::BadConfig(format!(
+                "instance too large: its total busy time at ε = {} overflows ({busy})",
+                cfg.epsilon
+            )));
+        }
+        Ok(())
     }
 
     /// The application graph this instance was prepared for.

@@ -166,13 +166,6 @@ pub(crate) fn run(
             available: p.num_procs(),
         });
     }
-    if !(cfg.period.is_finite() && cfg.period > 0.0) {
-        return Err(ScheduleError::BadConfig(format!(
-            "period must be positive, got {}",
-            cfg.period
-        )));
-    }
-
     // Priorities tℓ + bℓ (§2) come precomputed in the level cache; tℓ is
     // refined online with actual finish times as the partial clustering
     // takes shape ("update priority values of its successors"), tracked

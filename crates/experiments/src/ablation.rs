@@ -11,8 +11,8 @@
 //! * `LTF B=1` — chunk size 1 (classical one-task-at-a-time list
 //!   scheduling instead of the paper's `B = m` chunks).
 
-use crate::runner::parallel_map;
 use crate::workload::{gen_instance, PaperWorkload};
+use ltf_core::par::parallel_map;
 use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
 use serde::Serialize;
 
@@ -123,7 +123,7 @@ pub fn ablation(cfg: &AblationConfig) -> Vec<AblationRecord> {
     VARIANTS
         .iter()
         .map(|variant| {
-            let outcomes = parallel_map(&seeds, cfg.threads, |s| {
+            let outcomes = parallel_map(&seeds, cfg.threads, |&s| {
                 let inst = gen_instance(&wl, s);
                 let mut acfg = AlgoConfig::new(cfg.epsilon, inst.period).seeded(s);
                 (variant.tweak)(&mut acfg);

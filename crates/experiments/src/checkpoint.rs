@@ -19,9 +19,14 @@
 //! [`resume_chunks`] computes pending items in fixed-size windows,
 //! recording and handing each window to the caller before the next one
 //! starts.
+//!
+//! Decoding is the serde derive's: each journalled record type derives
+//! `Deserialize`, and a replay callback lifts its `record` tree with
+//! `T::from_value`. The derive is strict, so a record of another shape is
+//! rejected and recomputed rather than half-read.
 
 use ltf_core::par::parallel_map;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, Write};
@@ -30,7 +35,8 @@ use std::path::{Path, PathBuf};
 /// An append-only JSON-lines journal of completed work items.
 ///
 /// ```
-/// use ltf_experiments::checkpoint::{as_u64, Checkpoint};
+/// use ltf_experiments::checkpoint::Checkpoint;
+/// use serde::Deserialize;
 ///
 /// let path = std::env::temp_dir().join(format!("ckpt-doc-{}.jsonl", std::process::id()));
 /// let _ = std::fs::remove_file(&path);
@@ -44,7 +50,7 @@ use std::path::{Path, PathBuf};
 /// // Resume: the completed records replay instead of recomputing.
 /// let mut replayed = Vec::new();
 /// let ckpt = Checkpoint::open(&path, |key, record| {
-///     replayed.push((key.to_string(), as_u64(record).unwrap()));
+///     replayed.push((key.to_string(), u64::from_value(record).unwrap()));
 ///     true // accepted → the key joins the done-set
 /// }).unwrap();
 /// assert_eq!(replayed, [("item=0".to_string(), 7), ("item=1".to_string(), 8)]);
@@ -101,8 +107,8 @@ impl Checkpoint {
                 }
                 let parsed = std::str::from_utf8(&buf[..buf.len() - 1])
                     .ok()
-                    .and_then(parse_record);
-                let Some((key, record)) = parsed else {
+                    .and_then(|line| serde_json::from_str::<Entry>(line).ok());
+                let Some(Entry { key, record }) = parsed else {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
@@ -166,6 +172,13 @@ impl Checkpoint {
     }
 }
 
+/// One journal line as it is read back.
+#[derive(Deserialize)]
+struct Entry {
+    key: String,
+    record: Value,
+}
+
 struct Record<'a, T: ?Sized> {
     key: &'a str,
     payload: &'a T,
@@ -178,14 +191,6 @@ impl<T: Serialize + ?Sized> Serialize for Record<'_, T> {
             ("record".to_string(), self.payload.to_value()),
         ])
     }
-}
-
-/// Parse one journal line into `(key, record)`.
-fn parse_record(line: &str) -> Option<(String, Value)> {
-    let v = serde_json::from_str(line).ok()?;
-    let key = field(&v, "key").and_then(as_str)?.to_string();
-    let record = field(&v, "record")?.clone();
-    Some((key, record))
 }
 
 /// Drive `compute` over every item whose `key` is not yet journalled, in
@@ -228,54 +233,6 @@ where
     Ok(())
 }
 
-// ---- Value-access helpers for replay decoding -------------------------
-//
-// The vendored serde is serialize-first: replay hands back [`Value`]
-// trees, and each record type decodes itself with these accessors.
-
-/// Look up a map field by name.
-pub fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    match v {
-        Value::Map(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Numeric coercion: any of the three number variants as `f64`.
-pub fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-/// Unsigned coercion (rejects negatives and non-integers).
-pub fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) => (*i >= 0).then_some(*i as u64),
-        _ => None,
-    }
-}
-
-/// String access.
-pub fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-/// Bool access.
-pub fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,7 +245,7 @@ mod tests {
         path
     }
 
-    #[derive(serde::Serialize)]
+    #[derive(Serialize, Deserialize)]
     struct Row {
         seed: u64,
         val: f64,
@@ -305,11 +262,8 @@ mod tests {
         }
         let mut seen = Vec::new();
         let ck = Checkpoint::open(&path, |k, v| {
-            seen.push((
-                k.to_string(),
-                as_u64(field(v, "seed").unwrap()).unwrap(),
-                as_f64(field(v, "val").unwrap()).unwrap(),
-            ));
+            let row = Row::from_value(v).unwrap();
+            seen.push((k.to_string(), row.seed, row.val));
             true
         })
         .unwrap();
@@ -412,7 +366,7 @@ mod tests {
         }
         let mut vals = Vec::new();
         let ck = Checkpoint::open(&path, |_, v| {
-            vals.push(as_f64(field(v, "val").unwrap()).unwrap());
+            vals.push(Row::from_value(v).unwrap().val);
             true
         })
         .unwrap();

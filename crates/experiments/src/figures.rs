@@ -13,6 +13,7 @@ use crate::checkpoint::{resume_chunks, Checkpoint};
 use crate::runner::{measure_instance, RunRecord};
 use crate::stats::{Figure, Series, SeriesPoint};
 use crate::workload::PaperWorkload;
+use serde::Deserialize;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -130,17 +131,12 @@ pub fn sweep_checkpointed(
             if !expected.contains(key) {
                 return false; // another sweep/config's records share the journal
             }
-            let serde::Value::Seq(items) = value else {
-                eprintln!("warning: checkpoint: record {key} has the wrong shape; recomputing");
-                return false;
-            };
-            let recs: Option<Vec<RunRecord>> = items.iter().map(RunRecord::from_value).collect();
-            match recs {
-                Some(recs) => {
+            match Vec::<RunRecord>::from_value(value) {
+                Ok(recs) => {
                     replayed.insert(key.to_string(), recs);
                     true
                 }
-                None => {
+                Err(_) => {
                     eprintln!("warning: checkpoint: record {key} does not decode; recomputing");
                     false
                 }

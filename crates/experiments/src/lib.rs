@@ -42,6 +42,22 @@ pub mod workload;
 
 pub use crate::checkpoint::Checkpoint;
 pub use crate::figures::{panel, sweep, sweep_checkpointed, Panel, SweepConfig, SweepData};
-pub use crate::runner::{measure_instance, parallel_map, RunRecord};
+pub use crate::runner::{measure_instance, RunRecord};
 pub use crate::stats::{Figure, Series, SeriesPoint};
 pub use crate::workload::{gen_instance, gen_instance_on, Instance, PaperWorkload};
+
+/// Pull the next argument as `flag`'s value and parse it, turning both
+/// failure modes into one diagnostic shape: `flag: got 'X', expected
+/// <what>` / `flag: missing value, expected <what>`. Shared by the
+/// `ltf-experiments`, `ltf-campaign` and `ltf-serve` command lines.
+pub fn take<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &str,
+) -> Result<T, String> {
+    let raw = args
+        .next()
+        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
+}

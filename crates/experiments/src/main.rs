@@ -27,6 +27,7 @@ use ltf_experiments::ascii;
 use ltf_experiments::figures::{feasibility, panel, sweep_checkpointed, Panel, SweepConfig};
 use ltf_experiments::scaling::{scaling_sweep_checkpointed, table as scaling_table, ScalingConfig};
 use ltf_experiments::stats::Figure;
+use ltf_experiments::take;
 use ltf_experiments::workload::{gen_instance_on, PaperWorkload};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -54,21 +55,6 @@ struct Opts {
     checkpoint: Option<PathBuf>,
     spec: Option<PathBuf>,
     topology: Option<PathBuf>,
-}
-
-/// Pull the next argument as `flag`'s value and parse it, turning both
-/// failure modes into one diagnostic shape: `flag: got 'X', expected
-/// <what>` / `flag: missing value, expected <what>`.
-fn take<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let raw = args
-        .next()
-        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
 }
 
 /// Parse a full argument list. Pure so the error paths are unit-testable:

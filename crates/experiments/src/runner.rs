@@ -1,17 +1,17 @@
-//! Parallel experiment execution (scoped worker pool, shared with the
-//! Pareto enumerator via [`ltf_core::par`]) and per-instance measurement
-//! records.
+//! Per-instance measurement records: LTF, R-LTF and the fault-free
+//! reference on one instance. The sweeps fan instances out over
+//! [`ltf_core::par`], the worker pool the Pareto enumerator shares.
 
 use crate::workload::{gen_instance, Instance, PaperWorkload};
 use ltf_core::{AlgoConfig, FaultFree, Heuristic, Ltf, PreparedInstance, Rltf};
 use ltf_schedule::{failures, CrashSet, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Everything measured on one (instance, algorithm) pair.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Instance seed.
     pub seed: u64,
@@ -41,34 +41,6 @@ pub struct RunRecord {
     pub procs_used: usize,
     /// Scheduling wall time in microseconds.
     pub sched_micros: u64,
-}
-
-impl RunRecord {
-    /// Decode a record replayed from a checkpoint journal (the inverse of
-    /// the `Serialize` derive; the vendored serde is serialize-first, so
-    /// each journalled type decodes its own [`serde::Value`] tree).
-    /// `None` when a field is missing or has the wrong shape.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
-        use crate::checkpoint::{as_bool, as_f64, as_str, as_u64, field};
-        Some(Self {
-            seed: as_u64(field(v, "seed")?)?,
-            granularity: as_f64(field(v, "granularity")?)?,
-            epsilon: as_u64(field(v, "epsilon")?)? as u8,
-            algo: as_str(field(v, "algo")?)?.to_string(),
-            feasible: as_bool(field(v, "feasible")?)?,
-            stages: as_u64(field(v, "stages")?)? as u32,
-            latency_ub: as_f64(field(v, "latency_ub")?)?,
-            latency_0: as_f64(field(v, "latency_0")?)?,
-            latency_crash: match field(v, "latency_crash")? {
-                serde::Value::Null => None,
-                other => Some(as_f64(other)?),
-            },
-            crash_losses: as_u64(field(v, "crash_losses")?)? as usize,
-            comms: as_u64(field(v, "comms")?)? as usize,
-            procs_used: as_u64(field(v, "procs_used")?)? as usize,
-            sched_micros: as_u64(field(v, "sched_micros")?)?,
-        })
-    }
 }
 
 /// Measure one heuristic on one instance, with `crash_draws` random crash
@@ -211,45 +183,9 @@ pub fn measure_instance(
     ]
 }
 
-/// Run `f` over every seed on a scoped worker pool (atomic work stealing
-/// over the seed indices); the output order matches `seeds`. Thin
-/// seed-flavoured wrapper over [`ltf_core::par::parallel_map`], which also
-/// propagates worker panics with their original payload (a panicking
-/// worker used to surface as the collector's unrelated
-/// `expect("all slots filled")`).
-pub fn parallel_map<T, F>(seeds: &[u64], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    ltf_core::par::parallel_map(seeds, threads, |s| f(*s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let seeds: Vec<u64> = (0..97).collect();
-        let out = parallel_map(&seeds, 8, |s| s * 2);
-        assert_eq!(out, seeds.iter().map(|s| s * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "measurement failed on seed 13")]
-    fn parallel_map_propagates_worker_panic() {
-        // Regression: the worker's panic dropped its sender, the collector
-        // then panicked with `expect("all slots filled")` and the root
-        // cause was lost. The original message must reach the caller.
-        let seeds: Vec<u64> = (0..32).collect();
-        parallel_map(&seeds, 4, |s| {
-            if s == 13 {
-                panic!("measurement failed on seed {s}");
-            }
-            s
-        });
-    }
 
     #[test]
     fn run_record_value_roundtrip() {
@@ -261,8 +197,7 @@ mod tests {
         };
         for rec in measure_instance(&cfg, 3, 1, 2) {
             let text = serde_json::to_string(&rec).unwrap();
-            let back =
-                RunRecord::from_value(&serde_json::from_str(&text).unwrap()).expect("decodes");
+            let back: RunRecord = serde_json::from_str(&text).expect("decodes");
             assert_eq!(serde_json::to_string(&back).unwrap(), text);
         }
     }

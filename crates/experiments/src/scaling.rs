@@ -7,16 +7,16 @@
 //! can be compared with the bound.
 
 use crate::checkpoint::Checkpoint;
-use crate::runner::parallel_map;
 use crate::workload::{gen_instance, PaperWorkload};
+use ltf_core::par::parallel_map;
 use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
 /// One aggregated scaling measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalingPoint {
     /// Task count of the instances.
     pub v: usize,
@@ -32,23 +32,6 @@ pub struct ScalingPoint {
     pub feasible: usize,
     /// Repetitions.
     pub reps: usize,
-}
-
-impl ScalingPoint {
-    /// Decode a point replayed from a checkpoint journal. `None` when a
-    /// field is missing or has the wrong shape.
-    pub fn from_value(v: &serde::Value) -> Option<Self> {
-        use crate::checkpoint::{as_f64, as_str, as_u64, field};
-        Some(Self {
-            v: as_u64(field(v, "v")?)? as usize,
-            m: as_u64(field(v, "m")?)? as usize,
-            epsilon: as_u64(field(v, "epsilon")?)? as u8,
-            algo: as_str(field(v, "algo")?)?.to_string(),
-            micros: as_f64(field(v, "micros")?)?,
-            feasible: as_u64(field(v, "feasible")?)? as usize,
-            reps: as_u64(field(v, "reps")?)? as usize,
-        })
-    }
 }
 
 /// Configuration for [`scaling_sweep`].
@@ -105,7 +88,7 @@ fn measure_point(
             cfg.seed ^ ((v as u64) << 32) ^ ((m as u64) << 16) ^ ((epsilon as u64) << 8) ^ k as u64
         })
         .collect();
-    let results = parallel_map(&seeds, cfg.threads, |s| {
+    let results = parallel_map(&seeds, cfg.threads, |&s| {
         let inst = gen_instance(&wl, s);
         let acfg = AlgoConfig::new(epsilon, inst.period).seeded(s);
         // The prepared instance is lazy, so the timed region still covers
@@ -174,12 +157,12 @@ pub fn scaling_sweep_checkpointed(
             if !expected.contains(key) {
                 return false; // another sweep/config's records share the journal
             }
-            match ScalingPoint::from_value(value) {
-                Some(pt) => {
+            match Deserialize::from_value(value) {
+                Ok(pt) => {
                     replayed.insert(key.to_string(), pt);
                     true
                 }
-                None => {
+                Err(_) => {
                     eprintln!("warning: checkpoint: record {key} does not decode; re-measuring");
                     false
                 }

@@ -243,3 +243,73 @@ fn scaling_sweep_resumes_identically() {
     }
     std::fs::remove_file(&journal).unwrap();
 }
+
+/// Copy a committed journal to a temp file the sweep may write to.
+fn golden_journal(name: &str) -> (PathBuf, String) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let text = std::fs::read_to_string(&golden).unwrap();
+    let journal = tmp(name.trim_end_matches(".journal.jsonl"));
+    std::fs::write(&journal, &text).unwrap();
+    (journal, text)
+}
+
+/// Every journal line is `{"key":...,"record":<payload>}`, and `payload`
+/// must re-serialize to exactly the bytes that were journalled.
+fn assert_replayed<T: serde::Serialize>(text: &str, payloads: &[T]) {
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), payloads.len(), "one payload per journal line");
+    for (line, payload) in lines.iter().zip(payloads) {
+        let record = format!(r#""record":{}}}"#, serde_json::to_string(payload).unwrap());
+        assert!(line.ends_with(&record), "not replayed verbatim: {line}");
+    }
+}
+
+#[test]
+fn fig3_journal_from_an_older_build_replays() {
+    // Written by `ltf-experiments fig3 --quick --graphs 2 --threads 2
+    // --checkpoint FILE` before the record types derived `Deserialize`.
+    let (journal, text) = golden_journal("fig3-quick.journal.jsonl");
+    let cfg = SweepConfig {
+        threads: 2,
+        crash_draws: 10,
+        ..SweepConfig::quick(2)
+    };
+    let data = sweep_checkpointed(1, 1, &cfg, Some(&journal)).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&journal).unwrap(),
+        text,
+        "a record was recomputed and re-journalled"
+    );
+    // Each line holds one instance's records (R-LTF, LTF, FF), including
+    // the measuring run's `sched_micros`.
+    let recs: Vec<_> = data.by_granularity.iter().flat_map(|(_, r)| r).collect();
+    let per_instance: Vec<_> = recs.chunks(3).collect();
+    assert_replayed(&text, &per_instance);
+    std::fs::remove_file(&journal).unwrap();
+}
+
+#[test]
+fn scaling_journal_from_an_older_build_replays() {
+    // Written by `ltf-experiments scaling --quick --threads 2 --checkpoint
+    // FILE` before the record types derived `Deserialize`.
+    let (journal, text) = golden_journal("scaling-quick.journal.jsonl");
+    let cfg = ScalingConfig {
+        task_counts: vec![25, 50],
+        proc_counts: vec![10],
+        epsilons: vec![0, 1],
+        reps: 2,
+        seed: 0xB10B,
+        threads: 2,
+    };
+    let points = scaling_sweep_checkpointed(&cfg, Some(&journal)).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&journal).unwrap(),
+        text,
+        "a point was re-measured and re-journalled"
+    );
+    // Wall-clock timings only match the journal when they were replayed.
+    assert_replayed(&text, &points);
+    std::fs::remove_file(&journal).unwrap();
+}

@@ -21,6 +21,7 @@
 //! prints a final statistics report to *stderr* at EOF (stderr so the
 //! stdout stream stays golden-diffable).
 
+use ltf_experiments::take;
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
 use std::io::{BufRead, Write};
@@ -37,18 +38,6 @@ struct Opts {
     stats: bool,
     soak: Option<usize>,
     help: bool,
-}
-
-fn take<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let raw = args
-        .next()
-        .ok_or_else(|| format!("{flag}: missing value, expected {expected}"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: got '{raw}', expected {expected}"))
 }
 
 fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {

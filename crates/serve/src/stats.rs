@@ -155,20 +155,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_nearest_rank() {
-        // The shared helper must keep the wire-format conventions this
-        // report was built on (nearest rank, 0 for an empty window).
-        let w: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_sorted_u64(&w, 50.0), 50);
-        assert_eq!(percentile_sorted_u64(&w, 99.0), 99);
-        assert_eq!(percentile_sorted_u64(&[7], 50.0), 7);
-        assert_eq!(percentile_sorted_u64(&[], 99.0), 0);
-        let w = [10, 20, 30];
-        assert_eq!(percentile_sorted_u64(&w, 50.0), 20);
-        assert_eq!(percentile_sorted_u64(&w, 99.0), 30);
-    }
-
-    #[test]
     fn counters_and_report() {
         let mut s = ServiceStats::new();
         s.record_ok("ltf", 100);

@@ -236,6 +236,43 @@ fn repeated_infeasible_request() {
     assert_eq!((id, status.as_str()), (Some(100), "ok"));
 }
 
+/// An instance whose busy time overflows `f64` is a `bad-request`. Golden
+/// request 1 with two `1e308` unit delays makes a volume-2 message take
+/// `+∞`; the makespan heuristics used to look for a port-timeline gap
+/// that fits it forever. Each solve runs on a helper thread, so a hang
+/// fails the test instead of stalling it (the hung thread is not joined).
+#[test]
+fn overflowing_instance_is_rejected_not_hung() {
+    let golden = format!("{}/tests/golden/requests.jsonl", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(golden).expect("golden fixture");
+    let request = golden.lines().next().expect("golden request 1");
+    let repro = request
+        .replace(
+            r#""delays":[0.0,1.0,1.0,1.0,1.0,0.0,"#,
+            r#""delays":[0.0,1e308,1.0,1.0,1e308,0.0,"#,
+        )
+        .replace(r#""epsilon":1"#, r#""epsilon":0"#);
+    assert_ne!(repro, request, "the fixture changed shape");
+    for h in ["heft", "etf", "task-parallel", "throughput-first"] {
+        let line = repro.replace(r#""heuristic":"rltf""#, &format!(r#""heuristic":"{h}""#));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let s = service();
+            let _ = tx.send((s.handle_line(&line), s.handle_line(VALID)));
+        });
+        let (resp, next) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("{h}: no reply within 10 s ({e})"));
+        worker.join().expect("the solving thread finished cleanly");
+        let (id, status, kind, message) = envelope(&resp);
+        assert_eq!((id, status.as_str()), (Some(1), "error"), "{h}: {resp}");
+        assert_eq!(kind.as_deref(), Some("bad-request"), "{h}: {resp}");
+        assert!(message.contains("overflows"), "{h}: {message}");
+        let (id, status, ..) = envelope(&next);
+        assert_eq!((id, status.as_str()), (Some(100), "ok"), "{h}: {next}");
+    }
+}
+
 #[test]
 fn error_storm_leaves_service_healthy() {
     // A mixed storm of every malformed class, then a burst of valid work:

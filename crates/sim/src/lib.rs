@@ -11,8 +11,11 @@
 //!   item is computed by stage-`s` replicas in window `k + 2(s−1)` and
 //!   shipped in window `k + 2s − 1`. Per-item latency is exactly
 //!   `(2·S_eff − 1)·Δ` with the effective (best-alive-source) stage of the
-//!   item's surviving exit replicas — the simulator's measurement therefore
-//!   cross-validates `ltf_schedule::failures`.
+//!   item's surviving exit replicas. With a fixed crash set that is
+//!   `ltf_schedule::failures::effective_latency` for every item, so the
+//!   fixed-set run is that closed form laid out over the stream; the
+//!   windowed replay [`synchronous_trace`] re-derives stages item by item
+//!   and is cross-validated against it.
 //! * [`asap()`](asap()) — an event-driven ASAP (as-soon-as-possible) execution: every
 //!   replica starts an item as soon as one copy of each input has arrived
 //!   and its processor is free; messages contend for send/receive ports

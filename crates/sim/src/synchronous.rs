@@ -3,8 +3,8 @@
 use crate::fault::{RecoveryPolicy, TraceConfig};
 use crate::report::SimReport;
 use ltf_graph::TaskGraph;
-use ltf_schedule::stages::{effective_stages, latency_for_stages};
-use ltf_schedule::{CrashSet, ReplicaId, Schedule, SourceChoice};
+use ltf_schedule::stages::latency_for_stages;
+use ltf_schedule::{failures, CrashSet, ReplicaId, Schedule, SourceChoice};
 
 /// Configuration for [`synchronous`].
 #[derive(Debug, Clone)]
@@ -33,67 +33,28 @@ impl SynchronousConfig {
 
 /// Execute the schedule under the stage-synchronous discipline: item `k` is
 /// computed by stage-`s` replicas during window `k + 2(s−1)` (each window
-/// lasting `Δ`) and shipped during window `k + 2s − 1`; its latency is
-/// `(2·S_eff(k) − 1)·Δ` where `S_eff` is the stage of its earliest
-/// surviving exit replica. Capacity per window is guaranteed by the
-/// schedule's throughput constraints (`Σ_u, C^I_u, C^O_u ≤ Δ`), which the
-/// validator checks separately.
+/// lasting `Δ`) and shipped during window `k + 2s − 1`. With the crash set
+/// fixed for the whole run every item sees the same effective stage count,
+/// so every item's latency is [`failures::effective_latency`],
+/// `(2·S_eff − 1)·Δ`, and item `k` completes at `k·Δ + L`. Capacity per
+/// window is guaranteed by the schedule's throughput constraints
+/// (`Σ_u, C^I_u, C^O_u ≤ Δ`), which the validator checks separately.
 pub fn synchronous(g: &TaskGraph, sched: &Schedule, cfg: &SynchronousConfig) -> SimReport {
-    let m = sched
-        .replicas()
-        .map(|r| sched.proc(r).index() + 1)
-        .max()
-        .unwrap_or(1);
-    let crash = cfg
-        .crash
-        .clone()
-        .unwrap_or_else(|| CrashSet::empty(m.max(1)));
-    let nrep = sched.replicas_per_task();
-    let proc_of: Vec<_> = sched.replicas().map(|r| sched.proc(r)).collect();
-    let sources: Vec<_> = sched
-        .replicas()
-        .map(|r| sched.sources(r).to_vec())
-        .collect();
-    let eff = effective_stages(g, nrep, &proc_of, &sources, &crash);
-
-    // Effective stage per item: all items share the static mapping.
-    let mut total: Option<u32> = Some(1);
-    for &t in g.exits() {
-        let best = (0..nrep)
-            .filter_map(|c| {
-                let r = ReplicaId::new(t, c as u8).dense(nrep);
-                eff.alive[r].then_some(eff.stage[r])
-            })
-            .min();
-        total = match (total, best) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-    }
-
-    let period = sched.period();
-    let latency = total.map(|s| latency_for_stages(s, period));
-    let mut item_latency = Vec::with_capacity(cfg.items);
-    let mut item_completion = Vec::with_capacity(cfg.items);
-    let mut makespan = 0.0f64;
-    for k in 0..cfg.items {
-        match latency {
-            Some(l) => {
-                let done = k as f64 * period + l;
-                item_latency.push(Some(l));
-                item_completion.push(Some(done));
-                makespan = makespan.max(done);
-            }
-            None => {
-                item_latency.push(None);
-                item_completion.push(None);
-            }
+    let latency = match &cfg.crash {
+        Some(crash) => failures::effective_latency(g, sched, crash),
+        None => {
+            let m = sched.replicas().map(|r| sched.proc(r).index() + 1).max();
+            failures::effective_latency(g, sched, &CrashSet::empty(m.unwrap_or(1)))
         }
-    }
+    };
+    let period = sched.period();
+    let item_completion: Vec<Option<f64>> = (0..cfg.items)
+        .map(|k| latency.map(|l| k as f64 * period + l))
+        .collect();
     SimReport {
-        item_latency,
+        item_latency: vec![latency; cfg.items],
+        makespan: item_completion.last().copied().flatten().unwrap_or(0.0),
         item_completion,
-        makespan,
     }
 }
 
@@ -114,8 +75,9 @@ pub fn synchronous(g: &TaskGraph, sched: &Schedule, cfg: &SynchronousConfig) -> 
 /// Under [`RecoveryPolicy::Reroute`], an in-edge whose scheduled sources
 /// are all unusable for an item falls back to the best usable replica of
 /// the predecessor task (the online re-route, expressed in window terms);
-/// under [`RecoveryPolicy::FailStop`] the consumer starves, exactly like
-/// [`effective_stages`] with the crashed set of that window.
+/// under [`RecoveryPolicy::FailStop`] the consumer starves, exactly as in
+/// the fixed-set analysis [`failures::effective_latency`] with the crashed
+/// set of that window.
 ///
 /// With an all-`+∞` trace this reproduces [`synchronous`]'s failure-free
 /// output; with all-zero crash times it reproduces the fixed-set run.

@@ -21,41 +21,15 @@
 //!   out — so the suite pins fixed seeds; the per-probe monotonicity that
 //!   *is* a theorem is unit-tested in `ltf-core`.)
 
-use ltf_sched::core::{
-    schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance, ScheduleError,
-};
+mod common;
+
+use common::{assert_identical, schedule_with};
+use ltf_sched::core::{schedule_with_reference, AlgoConfig, AlgoKind};
 use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, layered, LayeredConfig};
 use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::{CommMode, Platform, Topology};
-use ltf_sched::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The production path: the built-in heuristic over a fresh prepared
-/// instance (what `Solver::solve` runs, minus the report), call-symmetric with
-/// the frozen oracle.
-fn schedule_with(
-    kind: AlgoKind,
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    kind.heuristic().schedule(&PreparedInstance::new(g, p), cfg)
-}
-
-fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
-    assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
-    assert_eq!(a.period(), b.period(), "{ctx}: period");
-    assert_eq!(a.num_stages(), b.num_stages(), "{ctx}: stage count");
-    for r in a.replicas() {
-        assert_eq!(a.proc(r), b.proc(r), "{ctx}: host of {r}");
-        assert_eq!(a.start(r), b.start(r), "{ctx}: start of {r}");
-        assert_eq!(a.finish(r), b.finish(r), "{ctx}: finish of {r}");
-        assert_eq!(a.stage(r), b.stage(r), "{ctx}: stage of {r}");
-        assert_eq!(a.sources(r), b.sources(r), "{ctx}: sources of {r}");
-    }
-    assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
-}
 
 /// Production solver on the `Uniform`-mode lowering vs the frozen reference
 /// oracle on the eager flattening. Also cross-checks that the two lowerings

@@ -16,39 +16,14 @@
 //! `ltf-core/tests/prio_props.rs`) and by the debug assertion in
 //! `Schedule::with_stages`, which is active throughout this suite.
 
-use ltf_sched::core::{
-    schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance, ScheduleError,
-};
+mod common;
+
+use common::{assert_identical, schedule_with};
+use ltf_sched::core::{schedule_with_reference, AlgoConfig, AlgoKind, PreparedInstance};
 use ltf_sched::experiments::workload::{gen_instance, PaperWorkload};
 use ltf_sched::graph::generate::{series_parallel, SeriesParallelConfig};
 use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::Platform;
-use ltf_sched::schedule::Schedule;
-
-/// The production path: the built-in heuristic over a fresh prepared
-/// instance (what `Solver::solve` runs, minus the report).
-fn schedule_with(
-    kind: AlgoKind,
-    g: &TaskGraph,
-    p: &Platform,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    kind.heuristic().schedule(&PreparedInstance::new(g, p), cfg)
-}
-
-fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
-    assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
-    assert_eq!(a.period(), b.period(), "{ctx}: period");
-    assert_eq!(a.num_stages(), b.num_stages(), "{ctx}: stage count");
-    for r in a.replicas() {
-        assert_eq!(a.proc(r), b.proc(r), "{ctx}: host of {r}");
-        assert_eq!(a.start(r), b.start(r), "{ctx}: start of {r}");
-        assert_eq!(a.finish(r), b.finish(r), "{ctx}: finish of {r}");
-        assert_eq!(a.stage(r), b.stage(r), "{ctx}: stage of {r}");
-        assert_eq!(a.sources(r), b.sources(r), "{ctx}: sources of {r}");
-    }
-    assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
-}
 
 fn compare_paths(kind: AlgoKind, g: &TaskGraph, p: &Platform, cfg: &AlgoConfig, ctx: &str) {
     let inc = schedule_with(kind, g, p, cfg);

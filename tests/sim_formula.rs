@@ -6,7 +6,10 @@ use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
 use ltf_sched::graph::generate::{layered, LayeredConfig};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{failures, CrashSet};
-use ltf_sched::sim::{asap, synchronous, AsapConfig, SynchronousConfig};
+use ltf_sched::sim::{
+    asap, synchronous, synchronous_trace, AsapConfig, CrashTrace, RecoveryPolicy, SimReport,
+    SynchronousConfig, TraceConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,43 +25,76 @@ fn workload(seed: u64) -> ltf_sched::graph::TaskGraph {
     )
 }
 
+/// `run` is the closed form laid out over the stream: every item has
+/// latency `want`, item `k` completes at `k·Δ + want`, and the makespan is
+/// the last completion.
+fn assert_closed_form(run: &SimReport, want: Option<f64>, period: f64, what: &str) {
+    let done: Vec<Option<f64>> = (0..run.item_latency.len())
+        .map(|k| want.map(|l| k as f64 * period + l))
+        .collect();
+    assert_eq!(run.item_latency, vec![want; done.len()], "{what}");
+    assert_eq!(run.item_completion, done, "{what}");
+    assert_eq!(
+        run.makespan,
+        done.last().copied().flatten().unwrap_or(0.0),
+        "{what}"
+    );
+}
+
 #[test]
 fn synchronous_simulation_equals_effective_latency() {
+    // The trace engine re-derives stages item by item, independently of
+    // `failures`: with a never-failing trace and with a fixed crash set
+    // failing at time 0 it must reproduce the closed form bit for bit, and
+    // so must the fixed-set `synchronous` run.
     let m = 10;
+    let items = 5;
     let p = Platform::homogeneous(m, 1.0, 0.2);
-    for seed in 0..4u64 {
+    let mut schedules = 0;
+    for seed in 0..8u64 {
         let g = workload(seed);
         for kind in [AlgoKind::Ltf, AlgoKind::Rltf] {
-            let cfg = AlgoConfig::new(1, 15.0).seeded(seed);
-            let Ok(s) = kind
-                .heuristic()
-                .schedule(&PreparedInstance::new(&g, &p), &cfg)
-            else {
-                continue;
-            };
-            // No crash: simulator latency = analytic effective latency.
-            let run = synchronous(&g, &s, &SynchronousConfig::new(7));
-            let l0 = failures::effective_latency(&g, &s, &CrashSet::empty(m)).unwrap();
-            for l in &run.item_latency {
-                assert_eq!(*l, Some(l0));
-            }
-            assert!(l0 <= s.latency_upper_bound() + 1e-9);
+            for eps in 0..=2u8 {
+                let cfg = AlgoConfig::new(eps, 15.0).seeded(seed);
+                let Ok(s) = kind
+                    .heuristic()
+                    .schedule(&PreparedInstance::new(&g, &p), &cfg)
+                else {
+                    continue;
+                };
+                schedules += 1;
+                let period = s.period();
+                let l0 = failures::effective_latency(&g, &s, &CrashSet::empty(m));
+                assert!(l0.is_some_and(|l| l <= s.latency_upper_bound() + 1e-9));
+                let what = format!("seed {seed} {kind} ε={eps}");
+                let run = synchronous(&g, &s, &SynchronousConfig::new(items));
+                assert_closed_form(&run, l0, period, &what);
+                for policy in [RecoveryPolicy::FailStop, RecoveryPolicy::Reroute] {
+                    let never = TraceConfig::new(items, CrashTrace::never(m), policy);
+                    let run = synchronous_trace(&g, &s, &never);
+                    assert_closed_form(&run, l0, period, &format!("{what} never {policy:?}"));
+                }
 
-            // Every single crash: agreement again.
-            for crash in failures::all_crash_sets(m, 1) {
-                let want = failures::effective_latency(&g, &s, &crash);
-                let run = synchronous(&g, &s, &SynchronousConfig::with_crash(3, crash));
-                match want {
-                    Some(l) => {
-                        assert_eq!(run.produced(), 3);
-                        assert_eq!(run.item_latency[0], Some(l));
+                // Every 1- and 2-processor crash set, failing from the start.
+                for crash in (1..=2).flat_map(|c| failures::all_crash_sets(m, c)) {
+                    let want = failures::effective_latency(&g, &s, &crash);
+                    if let Some(l) = want {
                         assert!(l <= s.latency_upper_bound() + 1e-9);
                     }
-                    None => assert_eq!(run.produced(), 0),
+                    let what = format!("{what} crash {:?}", crash.procs());
+                    let trace = TraceConfig::new(
+                        items,
+                        CrashTrace::from_crash_set(&crash, m, 0.0),
+                        RecoveryPolicy::FailStop,
+                    );
+                    assert_closed_form(&synchronous_trace(&g, &s, &trace), want, period, &what);
+                    let fixed = SynchronousConfig::with_crash(items, crash);
+                    assert_closed_form(&synchronous(&g, &s, &fixed), want, period, &what);
                 }
             }
         }
     }
+    assert!(schedules >= 40, "only {schedules} feasible schedules");
 }
 
 #[test]

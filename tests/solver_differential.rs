@@ -10,6 +10,9 @@
 //! which return strategy-specific outcome types (HEFT/ETF makespan
 //! schedules, the task-/data-parallel outcomes), field by field.
 
+mod common;
+
+use common::assert_identical;
 use ltf_sched::baselines::{self, full_solver};
 use ltf_sched::core::search::{self, SearchOptions};
 use ltf_sched::core::{AlgoConfig, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError, Solver};
@@ -18,20 +21,6 @@ use ltf_sched::graph::generate::{fig1_diamond, fig2_workflow, fig2_workflow_vari
 use ltf_sched::graph::TaskGraph;
 use ltf_sched::platform::{Platform, ProcId};
 use ltf_sched::schedule::{validate, ReplicaId, Schedule};
-
-fn assert_identical(a: &Schedule, b: &Schedule, ctx: &str) {
-    assert_eq!(a.epsilon(), b.epsilon(), "{ctx}: epsilon");
-    assert_eq!(a.period(), b.period(), "{ctx}: period");
-    assert_eq!(a.num_stages(), b.num_stages(), "{ctx}: stage count");
-    for r in a.replicas() {
-        assert_eq!(a.proc(r), b.proc(r), "{ctx}: host of {r}");
-        assert_eq!(a.start(r), b.start(r), "{ctx}: start of {r}");
-        assert_eq!(a.finish(r), b.finish(r), "{ctx}: finish of {r}");
-        assert_eq!(a.stage(r), b.stage(r), "{ctx}: stage of {r}");
-        assert_eq!(a.sources(r), b.sources(r), "{ctx}: sources of {r}");
-    }
-    assert_eq!(a.comm_events(), b.comm_events(), "{ctx}: comm events");
-}
 
 /// Solver dispatch vs a direct heuristic call, both sides of feasibility.
 fn compare_core(
