@@ -1,5 +1,5 @@
 //! [`Heuristic`] adapters: every baseline strategy as a real
-//! [`Schedule`]-emitting plugin for the [`Solver`] registry.
+//! [`Schedule`]-emitting entry of the [`FULL`] registry table.
 //!
 //! The legacy entry points of this crate return strategy-specific outcome
 //! types ([`MakespanSchedule`], [`crate::TaskParallelOutcome`],
@@ -43,7 +43,9 @@
 
 use crate::makespan::{self, MakespanSchedule};
 use crate::throughput_first;
-use ltf_core::{AlgoConfig, Heuristic, PreparedInstance, ScheduleError, Solver};
+use ltf_core::{
+    AlgoConfig, FaultFree, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError, Solver,
+};
 use ltf_graph::TaskGraph;
 use ltf_platform::{Platform, ProcId};
 use ltf_schedule::{CommEvent, ReplicaId, Schedule, ScheduleData, SourceChoice, EPS};
@@ -327,32 +329,24 @@ impl Heuristic for ThroughputFirst {
     }
 }
 
-/// All baseline strategies as boxed [`Heuristic`] plugins, in canonical
-/// order: `heft`, `etf`, `task-parallel`, `data-parallel`,
+/// The full strategy family, in registration order: the
+/// [`ltf_core::BUILTIN`] entries `ltf`, `rltf` and `fault-free`, then the
+/// five baselines `heft`, `etf`, `task-parallel`, `data-parallel` and
 /// `throughput-first`.
-pub fn heuristics() -> Vec<Box<dyn Heuristic>> {
-    vec![
-        Box::new(Heft),
-        Box::new(Etf),
-        Box::new(TaskParallel),
-        Box::new(DataParallel),
-        Box::new(ThroughputFirst),
-    ]
-}
+pub static FULL: [&dyn Heuristic; 8] = [
+    &Ltf,
+    &Rltf,
+    &FaultFree,
+    &Heft,
+    &Etf,
+    &TaskParallel,
+    &DataParallel,
+    &ThroughputFirst,
+];
 
-/// Register every baseline strategy on an existing [`Solver`] session.
-pub fn register_baselines(solver: &mut Solver<'_>) {
-    for h in heuristics() {
-        solver.register(h);
-    }
-}
-
-/// A [`Solver`] session with the full strategy family registered: the
-/// paper's `ltf`, `rltf` and `fault-free` plus the five baselines.
+/// A [`Solver`] session over [`FULL`].
 pub fn full_solver<'a>(g: &'a TaskGraph, p: &'a Platform) -> Solver<'a> {
-    let mut solver = Solver::builtin(g, p);
-    register_baselines(&mut solver);
-    solver
+    Solver::new(g, p, &FULL)
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@
 //!   real [`ltf_schedule::Schedule`].
 
 //!
-//! Every strategy is also available as a [`ltf_core::Heuristic`] plugin
-//! (module [`heuristics`]): [`full_solver`] builds a
-//! [`ltf_core::Solver`] session with the paper's algorithms *and* all
-//! baselines registered, dispatchable by name.
+//! Every strategy is also a [`ltf_core::Heuristic`] (module
+//! [`heuristics`]): the static table [`FULL`] lists the paper's algorithms
+//! *and* all baselines, and [`full_solver`] builds a [`ltf_core::Solver`]
+//! session over it, dispatchable by name.
 
 pub mod data_parallel;
 pub mod heuristics;
@@ -32,7 +32,7 @@ pub mod throughput_first;
 
 pub use crate::data_parallel::{data_parallel, DataParallelOutcome};
 pub use crate::heuristics::{
-    full_solver, register_baselines, DataParallel, Etf, Heft, TaskParallel, ThroughputFirst,
+    full_solver, DataParallel, Etf, Heft, TaskParallel, ThroughputFirst, FULL,
 };
 pub use crate::makespan::{etf, heft, MakespanComm, MakespanSchedule};
 pub use crate::task_parallel::{task_parallel, TaskParallelOutcome};

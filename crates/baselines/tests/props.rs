@@ -1,6 +1,8 @@
-//! Property-based tests for the baseline schedulers.
+//! Property-based tests for the baseline schedulers, and the contract of
+//! the `FULL` registry table every name lookup goes through.
 
-use ltf_baselines::{data_parallel, etf, heft, task_parallel, throughput_first};
+use ltf_baselines::{data_parallel, etf, heft, task_parallel, throughput_first, FULL};
+use ltf_core::{lookup, Heuristic, BUILTIN};
 use ltf_graph::generate::{layered, LayeredConfig};
 use ltf_graph::levels::{bottom_levels, Weights};
 use ltf_graph::TaskGraph;
@@ -132,6 +134,41 @@ proptest! {
                 prop_assert!(s.achieved_throughput() + 1e-12 >= 1.0 / period);
             }
             Err(e) => prop_assert!(false, "generous period infeasible: {e}"),
+        }
+    }
+}
+
+#[test]
+fn full_begins_with_builtin_in_order() {
+    let names = |t: &[&dyn Heuristic]| t.iter().map(|h| h.name()).collect::<Vec<_>>();
+    assert_eq!(names(&FULL[..BUILTIN.len()]), names(&BUILTIN));
+}
+
+#[test]
+fn every_name_and_alias_resolves_to_its_owner_in_any_case() {
+    for owner in FULL {
+        for name in std::iter::once(owner.name()).chain(owner.aliases().iter().copied()) {
+            for spelled in [name.to_ascii_uppercase(), name.to_ascii_lowercase()] {
+                let found = lookup(&FULL, &spelled).expect("registered name resolves");
+                assert_eq!(found.name(), owner.name(), "{spelled}");
+            }
+        }
+    }
+    assert!(lookup(&FULL, "zeus").is_none());
+}
+
+#[test]
+fn no_alias_shadows_another_canonical_name() {
+    for owner in FULL {
+        for alias in owner.aliases() {
+            for other in FULL {
+                assert!(
+                    !alias.eq_ignore_ascii_case(other.name()),
+                    "{}'s alias {alias} is {}'s canonical name",
+                    owner.name(),
+                    other.name()
+                );
+            }
         }
     }
 }

@@ -263,15 +263,6 @@ fn ltf_place_copy(
     // of cone-free hosts.
     let cone_budget = engine.p.num_procs().div_ceil(engine.nrep) as u32;
     if !ltf_best_placement(engine, ctx, copy, cone_budget, cfg.use_one_to_one, s) {
-        if std::env::var_os("LTF_DEBUG").is_some() {
-            let m = engine.p.num_procs();
-            let free = (0..m).filter(|&u| ctx.used >> u & 1 == 0).count();
-            eprintln!(
-                "LTF fail: task {t} copy {copy} in_deg {} | cone-free procs {free}/{m} used={:#x}",
-                engine.g.in_degree(t),
-                ctx.used
-            );
-        }
         return Err(ScheduleError::Infeasible { task: t, copy });
     }
     ctx.used |= s.best.kill;

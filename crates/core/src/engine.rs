@@ -739,10 +739,10 @@ impl<'a> Engine<'a> {
             let slot = ws.send_slot(hi);
             let route = self.p.route(h, u);
             let start = if route.is_empty() {
-                // Uniform comm model (or a routed pair with no links —
+                // Matrix platform (or a routed pair with no links —
                 // impossible for distinct processors of a connected
                 // topology): the original two-timeline fit, bit-identical
-                // to the pre-`CommModel` engine.
+                // to the engine before routed platforms.
                 let sv = st.send.overlay(hi, &ws.send[slot].delta);
                 let rv = st.recv.overlay(ui, &ws.recv);
                 earliest_common_fit(&sv, &rv, st.finish[sidx], dur)

@@ -15,7 +15,8 @@
 //! Every strategy — [`Ltf`] (Algorithm 4.1), [`Rltf`] (§4.2, the paper's
 //! winner), [`FaultFree`] (the ε = 0 reference of §5) and the comparison
 //! baselines of `ltf-baselines` — implements the [`Heuristic`] trait and is
-//! dispatched by name through a [`Solver`] session, which owns the
+//! dispatched by name through a [`Solver`] session over a static registry
+//! table ([`BUILTIN`], or `ltf_baselines::FULL`). The session owns the
 //! per-instance derivations and returns typed [`Solution`] /
 //! [`Diagnostics`] outcomes:
 //!
@@ -71,5 +72,6 @@ pub use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
 pub use crate::engine::MAX_PROCS;
 pub use crate::prio::LevelCache;
 pub use crate::solver::{
-    Diagnostics, FaultFree, Heuristic, Ltf, Rltf, Solution, SolutionMetrics, Solver,
+    lookup, Diagnostics, FaultFree, Heuristic, Ltf, Rltf, Solution, SolutionMetrics, Solver,
+    BUILTIN,
 };

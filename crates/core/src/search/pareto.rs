@@ -131,10 +131,8 @@ pub struct ParetoPoint {
     /// Peak per-link utilization of the witness on the platform it was
     /// scheduled against ([`Schedule::max_link_utilization`]). `None` on
     /// matrix platforms, which keep no link identity. Reported alongside
-    /// the objectives (and filtered by
-    /// [`ParetoOptions::max_link_utilization`]) but not part of the
-    /// dominance order, so routed platforms produce the same fronts as
-    /// their flattened twins unless a cap is set.
+    /// the objectives but not part of the dominance order; the contended
+    /// engine already keeps every link's load within the period.
     pub link_utilization: Option<f64>,
 }
 
@@ -169,7 +167,7 @@ impl Serialize for ParetoPoint {
             serde::Value::UInt(self.platform_procs as u64),
         ));
         // Only routed platforms measure link utilization; matrix-platform
-        // output stays byte-identical to the pre-CommModel wire form.
+        // output keeps the wire form it had before routed platforms.
         if let Some(u) = self.link_utilization {
             fields.push(("link_utilization".to_string(), serde::Value::Float(u)));
         }
@@ -209,16 +207,6 @@ pub struct ParetoOptions {
     pub max_latency: Option<f64>,
     /// Processor budget: only platform prefixes up to this size are swept.
     pub max_procs: Option<usize>,
-    /// Link-utilization budget: on routed platforms, candidate schedules
-    /// whose peak per-link utilization exceeds this never enter the front.
-    /// The probe *trajectory* is unchanged (the same periods are tried, so
-    /// capped and uncapped sweeps stay comparable); the cap only filters
-    /// which candidates are kept. Vacuous on matrix platforms, which keep
-    /// no link identity. Note the contended engine already guarantees
-    /// utilization ≤ 1 by construction, so caps below 1.0 are the
-    /// interesting ones there; on `Uniform`-mode routed platforms the cap
-    /// is the only thing bounding link load at all.
-    pub max_link_utilization: Option<f64>,
     /// Relaxed-period probe budget per cell after the bisection: the
     /// golden-section search over `[Δ_min, Δ_min · 2^relax_steps]`
     /// shrinks its bracket this many times (`relax_steps + 2` heuristic
@@ -243,7 +231,6 @@ impl Default for ParetoOptions {
             min_epsilon: None,
             max_latency: None,
             max_procs: None,
-            max_link_utilization: None,
             relax_steps: 3,
             iterations: 40,
             seed: 0xC0FFEE,
@@ -265,15 +252,6 @@ impl ParetoOptions {
     pub fn with_proc_budget(budget: usize) -> Self {
         Self {
             max_procs: Some(budget),
-            ..Self::default()
-        }
-    }
-
-    /// Default enumeration under a peak link-utilization budget (routed
-    /// platforms only; vacuous on matrix platforms).
-    pub fn with_link_utilization_cap(cap: f64) -> Self {
-        Self {
-            max_link_utilization: Some(cap),
             ..Self::default()
         }
     }
@@ -332,8 +310,7 @@ pub fn pareto_front(
 /// order. The prefix loop is outermost so all heuristics share one
 /// [`PreparedInstance`] (reversed graph, level caches) per prefix.
 pub fn pareto_front_all(solver: &Solver<'_>, opts: &ParetoOptions) -> Vec<ParetoPoint> {
-    let hs: Vec<&dyn Heuristic> = solver.heuristics().collect();
-    front_over(solver.graph(), solver.platform(), &hs, opts)
+    front_over(solver.graph(), solver.platform(), solver.heuristics(), opts)
 }
 
 /// The shared sweep: enumerate every `(ε, prefix)` cell for every
@@ -394,22 +371,9 @@ fn cell_sweep(
         let Some((t_min, sched)) = min_period_prepared(prep, h, &sopts) else {
             continue;
         };
-        push_within_link_cap(ParetoPoint::new(h, m, sched, prep.platform()), opts, out);
-        // Even when the minimum-period point blows the link cap, keep
-        // probing: utilization is busy/Δ, so relaxed periods only lower it.
+        out.push(ParetoPoint::new(h, m, sched, prep.platform()));
         relaxed_probes(prep, m, h, &sopts, opts, t_min, out);
     }
-}
-
-/// Keep `pt` unless it violates [`ParetoOptions::max_link_utilization`].
-/// Points without a measured utilization (matrix platforms) always pass.
-fn push_within_link_cap(pt: ParetoPoint, opts: &ParetoOptions, out: &mut Vec<ParetoPoint>) {
-    if let (Some(cap), Some(u)) = (opts.max_link_utilization, pt.link_utilization) {
-        if u > cap + 1e-9 {
-            return;
-        }
-    }
-    out.push(pt);
 }
 
 /// Probe relaxed (larger) periods after the bisection: a looser period
@@ -446,7 +410,7 @@ fn relaxed_probes(
         match try_period(prep, h, sopts, period) {
             Some(s) => {
                 let latency = s.latency_upper_bound();
-                push_within_link_cap(ParetoPoint::new(h, m, s, prep.platform()), opts, out);
+                out.push(ParetoPoint::new(h, m, s, prep.platform()));
                 latency
             }
             None => f64::INFINITY,
@@ -636,50 +600,6 @@ mod tests {
         assert!(!capped.is_empty());
         assert!(capped.iter().all(|pt| pt.objectives.procs <= 2));
         assert!(capped.iter().all(|pt| pt.objectives.epsilon <= 1));
-    }
-
-    #[test]
-    fn link_utilization_cap_filters_routed_front() {
-        use ltf_platform::{CommMode, Topology};
-        let g = fig1_diamond();
-        let chain = || Topology::chain(vec![1.0; 4], 0.5);
-
-        // Matrix platforms measure nothing; a cap there is vacuous.
-        let flat = pareto_front(
-            &g,
-            &chain().into_platform().unwrap(),
-            &Ltf,
-            &ParetoOptions::with_link_utilization_cap(0.0),
-        );
-        assert!(!flat.is_empty());
-        assert!(flat.iter().all(|pt| pt.link_utilization.is_none()));
-
-        // A Uniform-mode routed platform schedules identically to its
-        // flattened twin, but link identity is only kept by Contended —
-        // the measurable front is the contended one.
-        let p = chain().into_platform_with(CommMode::Contended).unwrap();
-        let full = pareto_front(&g, &p, &Ltf, &ParetoOptions::default());
-        assert!(!full.is_empty());
-        assert!(full.iter().all(|pt| pt.link_utilization.is_some()));
-        let peak = full
-            .iter()
-            .filter_map(|pt| pt.link_utilization)
-            .fold(0.0f64, f64::max);
-        assert!(peak > 0.0, "fig1 on a chain must cross some link");
-
-        let cap = peak * 0.5;
-        let capped = pareto_front(&g, &p, &Ltf, &ParetoOptions::with_link_utilization_cap(cap));
-        assert!(capped
-            .iter()
-            .all(|pt| pt.link_utilization.unwrap() <= cap + 1e-9));
-        // The cap only filters; it never invents points the free sweep
-        // could not reach.
-        for pt in &capped {
-            assert!(
-                full.iter().any(|f| !f.objectives.dominates(&pt.objectives)),
-                "capped point {pt} dominated by the whole free front"
-            );
-        }
     }
 
     #[test]

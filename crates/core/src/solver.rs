@@ -11,9 +11,10 @@
 //!   [`Ltf`], [`Rltf`] and [`FaultFree`] implement it here; the
 //!   `ltf-baselines` crate implements it for the comparison strategies.
 //! * [`Solver`] — a session owning a [`PreparedInstance`] (the reversed
-//!   graph and level caches are derived lazily, once) and a registry of
-//!   heuristics addressable by name, so CLIs and experiment sweeps
-//!   dispatch uniformly.
+//!   graph and level caches are derived lazily, once) over a static
+//!   registry table of heuristics addressable by name ([`BUILTIN`] here,
+//!   `ltf_baselines::FULL` for the whole family), so CLIs and experiment
+//!   sweeps dispatch uniformly. [`lookup`] resolves a name in any table.
 //! * [`Solution`] — a schedule bundled with its derived metrics and the
 //!   name of the heuristic that produced it.
 //! * [`Diagnostics`] — a [`ScheduleError`] bundled with the context it
@@ -299,9 +300,26 @@ impl std::error::Error for Diagnostics {
     }
 }
 
+/// The paper's own strategies, in registration order: [`Ltf`], [`Rltf`]
+/// and [`FaultFree`]. `ltf_baselines::FULL` starts with these three and
+/// appends the comparison baselines.
+pub static BUILTIN: [&dyn Heuristic; 3] = [&Ltf, &Rltf, &FaultFree];
+
+/// Look a heuristic up in a registry table by canonical name or alias,
+/// case-insensitively. Canonical names win over aliases, so an entry is
+/// always reachable by its own name even when an earlier entry carries
+/// that name as an alias.
+pub fn lookup<'r>(registry: &[&'r dyn Heuristic], name: &str) -> Option<&'r dyn Heuristic> {
+    let is = |s: &str| s.eq_ignore_ascii_case(name);
+    let by_name = registry.iter().find(|h| is(h.name()));
+    by_name
+        .or_else(|| registry.iter().find(|h| h.aliases().iter().any(|a| is(a))))
+        .copied()
+}
+
 /// A scheduling session over one `(graph, platform)` instance: owns a
-/// [`PreparedInstance`] (lazy, shared derivations) and a registry of
-/// [`Heuristic`] strategies addressable by name.
+/// [`PreparedInstance`] (lazy, shared derivations) and solves with the
+/// [`Heuristic`]s of a static registry table, addressable by name.
 ///
 /// ```
 /// use ltf_core::{AlgoConfig, Solver};
@@ -318,50 +336,28 @@ impl std::error::Error for Diagnostics {
 /// ```
 pub struct Solver<'a> {
     inst: PreparedInstance<'a>,
-    registry: Vec<Box<dyn Heuristic>>,
+    registry: &'static [&'static dyn Heuristic],
 }
 
 impl<'a> Solver<'a> {
-    /// A session with an empty registry.
-    pub fn new(g: &'a TaskGraph, p: &'a Platform) -> Self {
+    /// A session dispatching over `registry`. A custom strategy joins a
+    /// table of its own (`static MINE: [&dyn Heuristic; 2] = [&Rltf, &Mine];`)
+    /// or runs unregistered through [`Solver::solve_with`].
+    pub fn new(
+        g: &'a TaskGraph,
+        p: &'a Platform,
+        registry: &'static [&'static dyn Heuristic],
+    ) -> Self {
         Self {
             inst: PreparedInstance::new(g, p),
-            registry: Vec::new(),
+            registry,
         }
     }
 
-    /// A session with the paper's own strategies registered: [`Ltf`],
-    /// [`Rltf`] and [`FaultFree`]. The comparison baselines live in
-    /// `ltf-baselines`; register them with [`Solver::with`] /
-    /// [`Solver::register`] (or use `ltf_baselines::full_solver`).
+    /// A session over [`BUILTIN`], the paper's own strategies
+    /// (`ltf_baselines::full_solver` adds the comparison baselines).
     pub fn builtin(g: &'a TaskGraph, p: &'a Platform) -> Self {
-        Self::new(g, p)
-            .with(Box::new(Ltf))
-            .with(Box::new(Rltf))
-            .with(Box::new(FaultFree))
-    }
-
-    /// Register a heuristic, replacing any existing entry with the same
-    /// canonical name (latest wins). The comparison is case-insensitive,
-    /// matching [`Solver::heuristic`] lookup — otherwise a name differing
-    /// only in case would leave the *old* entry first in the registry and
-    /// the new one unreachable (lookup returns the first match).
-    ///
-    /// Alias collisions are **not** replaced: a new entry whose canonical
-    /// name matches an existing entry's alias coexists with it, and
-    /// lookup resolves the contested name to the canonical owner
-    /// (canonical names take precedence over aliases).
-    pub fn register(&mut self, h: Box<dyn Heuristic>) -> &mut Self {
-        self.registry
-            .retain(|e| !e.name().eq_ignore_ascii_case(h.name()));
-        self.registry.push(h);
-        self
-    }
-
-    /// Builder-style [`Solver::register`].
-    pub fn with(mut self, h: Box<dyn Heuristic>) -> Self {
-        self.register(h);
-        self
+        Self::new(g, p, &BUILTIN)
     }
 
     /// The prepared instance this session solves over.
@@ -386,24 +382,13 @@ impl<'a> Solver<'a> {
     }
 
     /// All registered heuristics, in registration order.
-    pub fn heuristics(&self) -> impl Iterator<Item = &dyn Heuristic> {
-        self.registry.iter().map(|h| h.as_ref())
+    pub fn heuristics(&self) -> &'static [&'static dyn Heuristic] {
+        self.registry
     }
 
-    /// Look a heuristic up by canonical name or alias (case-insensitive).
-    /// Canonical names win over aliases, so a registered heuristic is
-    /// always reachable by its own name even when an earlier entry
-    /// carries that name as an alias.
-    pub fn heuristic(&self, name: &str) -> Option<&dyn Heuristic> {
-        self.registry
-            .iter()
-            .find(|h| h.name().eq_ignore_ascii_case(name))
-            .or_else(|| {
-                self.registry
-                    .iter()
-                    .find(|h| h.aliases().iter().any(|a| a.eq_ignore_ascii_case(name)))
-            })
-            .map(|h| h.as_ref())
+    /// Look a heuristic up by canonical name or alias (see [`lookup`]).
+    pub fn heuristic(&self, name: &str) -> Option<&'static dyn Heuristic> {
+        lookup(self.registry, name)
     }
 
     /// Solve with the named heuristic. Unknown names yield
@@ -432,7 +417,7 @@ impl<'a> Solver<'a> {
     pub fn solve_all(&self, cfg: &AlgoConfig) -> Vec<Result<Solution, Diagnostics>> {
         self.registry
             .iter()
-            .map(|h| self.solve_with(h.as_ref(), cfg))
+            .map(|h| self.solve_with(*h, cfg))
             .collect()
     }
 }
@@ -509,56 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn register_replaces_same_name() {
-        struct Custom;
-        impl Heuristic for Custom {
-            fn name(&self) -> &'static str {
-                "ltf"
-            }
-            fn schedule(
-                &self,
-                _inst: &PreparedInstance<'_>,
-                _cfg: &AlgoConfig,
-            ) -> Result<Schedule, ScheduleError> {
-                Err(ScheduleError::Unsupported("stub".into()))
-            }
-        }
-        let (g, p) = fixture();
-        let solver = Solver::builtin(&g, &p).with(Box::new(Custom));
-        assert_eq!(solver.names(), vec!["rltf", "fault-free", "ltf"]);
-        let err = solver.solve("ltf", &AlgoConfig::new(0, 100.0)).unwrap_err();
-        assert!(matches!(err.error, ScheduleError::Unsupported(_)));
-    }
-
-    #[test]
-    fn register_replaces_case_insensitively() {
-        // Lookup is case-insensitive, so replacement must be too: a
-        // canonical name differing only in case used to leave the old
-        // entry first in the registry, making the new one unreachable.
-        struct Loud;
-        impl Heuristic for Loud {
-            fn name(&self) -> &'static str {
-                "LTF"
-            }
-            fn schedule(
-                &self,
-                _inst: &PreparedInstance<'_>,
-                _cfg: &AlgoConfig,
-            ) -> Result<Schedule, ScheduleError> {
-                Err(ScheduleError::Unsupported("loud stub".into()))
-            }
-        }
-        let (g, p) = fixture();
-        let solver = Solver::builtin(&g, &p).with(Box::new(Loud));
-        assert_eq!(solver.names(), vec!["rltf", "fault-free", "LTF"]);
-        let err = solver.solve("ltf", &AlgoConfig::new(0, 100.0)).unwrap_err();
-        assert!(
-            matches!(err.error, ScheduleError::Unsupported(_)),
-            "lookup must reach the latest registration, got {err}"
-        );
-    }
-
-    #[test]
     fn canonical_name_wins_over_alias() {
         // A heuristic whose canonical name collides with an earlier
         // entry's alias must stay reachable by its own name.
@@ -575,12 +510,16 @@ mod tests {
                 Rltf.schedule(inst, cfg)
             }
         }
-        let (g, p) = fixture();
-        let solver = Solver::builtin(&g, &p).with(Box::new(Ff));
+        static TABLE: [&dyn Heuristic; 4] = [&Ltf, &Rltf, &FaultFree, &Ff];
         // "ff" resolves to the new entry (canonical beats FaultFree's
-        // alias); "fault-free" still reaches the built-in.
-        assert_eq!(solver.heuristic("ff").unwrap().name(), "ff");
-        assert_eq!(solver.heuristic("fault-free").unwrap().name(), "fault-free");
+        // alias), in any case; "fault-free" still reaches the built-in.
+        assert_eq!(lookup(&TABLE, "ff").unwrap().name(), "ff");
+        assert_eq!(lookup(&TABLE, "FF").unwrap().name(), "ff");
+        assert_eq!(lookup(&TABLE, "fault-free").unwrap().name(), "fault-free");
+        assert_eq!(lookup(&TABLE, "fault_free").unwrap().name(), "fault-free");
+        assert!(lookup(&TABLE, "nope").is_none());
+        let (g, p) = fixture();
+        let solver = Solver::new(&g, &p, &TABLE);
         let sol = solver
             .solve("ff", &AlgoConfig::with_throughput(1, 0.05))
             .expect("feasible");

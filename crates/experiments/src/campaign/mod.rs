@@ -41,5 +41,5 @@ pub use slo::{
 };
 pub use spec::{
     CampaignSpec, EpsRange, Experiment, FailureSpec, SloSpec, SpecError, TopologyShape,
-    TopologySpec, DEFAULT_SEED,
+    TopologySpec, DEFAULT_SEED, MAX_FAILURE_ITEMS, MAX_WORK_ITEMS,
 };

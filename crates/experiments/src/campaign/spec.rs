@@ -12,16 +12,22 @@
 
 use crate::pareto::ParetoInstance;
 use crate::workload::PaperWorkload;
-use ltf_baselines::full_solver;
+use ltf_baselines::FULL;
 use ltf_core::search::pareto::ParetoOptions;
-use ltf_core::MAX_PROCS;
-use ltf_graph::generate::fig1_diamond;
+use ltf_core::{lookup, MAX_PROCS};
 use ltf_platform::{CommMode, Platform, Topology};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Default base seed of a campaign (`"seed"` absent).
 pub const DEFAULT_SEED: u64 = 0xB10B5EED;
+
+/// Most work items one campaign may expand to. The count comes from the
+/// axes alone, so a larger spec is rejected before any item exists.
+pub const MAX_WORK_ITEMS: usize = 1 << 20;
+
+/// Most stream items one SLO crash trace may replay (`failure.items`).
+pub const MAX_FAILURE_ITEMS: usize = 4096;
 
 /// One inclusive ε band of the sweep. Both bounds optional: `{}` means
 /// the full `0..=m−1` range, `{"min": 1}` drops the fault-free row,
@@ -134,21 +140,23 @@ impl TopologySpec {
     /// never fails on a spec that passed [`CampaignSpec::expand`].
     pub fn build_platform(&self, speeds: Vec<f64>) -> Platform {
         self.topology(speeds)
+            .expect("validated: links obey the link rules")
             .into_platform_with(self.comm_mode())
             .expect("validated: topology is connected")
     }
 
-    fn topology(&self, speeds: Vec<f64>) -> Topology {
+    /// The interconnect over `speeds`, every link added through
+    /// [`Topology::try_link`]. A `Chain` or `Star` delay is first checked on
+    /// a probe link, so a bad one is rejected even at `m = 1`, where the
+    /// shape has no link.
+    fn topology(&self, speeds: Vec<f64>) -> Result<Topology, String> {
+        let probe = |d: f64| Topology::new(vec![1.0; 2]).try_link(0, 1, d);
         match &self.shape {
-            TopologyShape::Chain(d) => Topology::chain(speeds, *d),
-            TopologyShape::Star(d) => Topology::star(speeds, *d),
-            TopologyShape::Links(links) => {
-                let mut t = Topology::new(speeds);
-                for &(a, b, d) in links {
-                    t = t.link(a, b, d);
-                }
-                t
-            }
+            TopologyShape::Chain(d) => probe(*d).map(|_| Topology::chain(speeds, *d)),
+            TopologyShape::Star(d) => probe(*d).map(|_| Topology::star(speeds, *d)),
+            TopologyShape::Links(links) => links
+                .iter()
+                .try_fold(Topology::new(speeds), |t, &(a, b, d)| t.try_link(a, b, d)),
         }
     }
 
@@ -156,39 +164,16 @@ impl TopologySpec {
     /// calls this per swept `platform_procs` entry; the CLI calls it once
     /// for its fixed instance size).
     pub fn validate_for(&self, m: usize) -> Result<(), SpecError> {
-        match &self.shape {
-            TopologyShape::Chain(d) | TopologyShape::Star(d) => {
-                if !(*d > 0.0 && d.is_finite()) {
-                    return Err(SpecError::BadTopology(format!(
-                        "link delay {d} must be a positive finite number"
-                    )));
-                }
-            }
-            TopologyShape::Links(links) => {
-                if links.is_empty() {
-                    return Err(SpecError::BadTopology(
-                        "\"Links\" must declare at least one link".into(),
-                    ));
-                }
-                for &(a, b, d) in links {
-                    if a >= m || b >= m {
-                        return Err(SpecError::BadTopology(format!(
-                            "link ({a}, {b}) endpoint out of range at m={m}"
-                        )));
-                    }
-                    if a == b {
-                        return Err(SpecError::BadTopology(format!("self-link ({a}, {b})")));
-                    }
-                    if !(d > 0.0 && d.is_finite()) {
-                        return Err(SpecError::BadTopology(format!(
-                            "link ({a}, {b}) delay {d} must be a positive finite number"
-                        )));
-                    }
-                }
-            }
+        if matches!(&self.shape, TopologyShape::Links(links) if links.is_empty()) {
+            return Err(SpecError::BadTopology(
+                "\"Links\" must declare at least one link".into(),
+            ));
         }
+        let topo = self
+            .topology(vec![1.0; m])
+            .map_err(|e| SpecError::BadTopology(format!("{e} at m={m}")))?;
         // Connectivity at this size: every pair needs a route.
-        if self.topology(vec![1.0; m]).route_table().is_none() {
+        if topo.route_table().is_none() {
             return Err(SpecError::BadTopology(format!("disconnected at m={m}")));
         }
         Ok(())
@@ -535,17 +520,13 @@ impl CampaignSpec {
                 t.validate_for(m)?;
             }
         }
-        // The registry is instance-independent; probe it on the smallest
-        // worked example.
-        let g = fig1_diamond();
-        let p = Platform::fig1_platform();
-        let solver = full_solver(&g, &p);
         for algo in &self.heuristics {
-            if algo != "all" && solver.heuristic(algo).is_none() {
+            if algo != "all" && lookup(&FULL, algo).is_none() {
                 return Err(SpecError::UnknownHeuristic(algo.clone()));
             }
         }
-        self.validate_slo()
+        self.validate_slo()?;
+        self.validate_work_items()
     }
 
     /// Validation of the SLO blocks (`failure` / `slo`). SLO cells need
@@ -611,6 +592,12 @@ impl CampaignSpec {
                 return Err(SpecError::BadValue(format!("\"{field}\" must be ≥ 1")));
             }
         }
+        if f.items() > MAX_FAILURE_ITEMS {
+            return Err(SpecError::BadValue(format!(
+                "\"failure.items\" {} exceeds the limit of {MAX_FAILURE_ITEMS}",
+                f.items()
+            )));
+        }
         match f.period {
             Some(p) if !(p > 0.0 && p.is_finite()) => {
                 return Err(SpecError::BadValue(format!(
@@ -670,6 +657,54 @@ impl CampaignSpec {
                     )));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Reject a spec that expands to more than [`MAX_WORK_ITEMS`] work
+    /// items, counted from the axes (saturating) before anything is
+    /// expanded: Σ instances over the experiments for a Pareto campaign,
+    /// cells × ⌈traces / block⌉ for an SLO campaign, whose ε bands the
+    /// checks before this one have bounded.
+    fn validate_work_items(&self) -> Result<(), SpecError> {
+        let workload = [
+            self.platform_procs.as_ref().map_or(1, Vec::len),
+            self.utilizations.as_ref().map_or(1, Vec::len),
+            self.granularities.as_ref().map_or(1, Vec::len),
+            self.instances.unwrap_or(1),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul);
+        // Fig families pin one instance per (heuristic, ε band).
+        let graphs = self
+            .graphs
+            .iter()
+            .map(|g| if g == "workload" { workload } else { 1 })
+            .fold(0, usize::saturating_add);
+        // A Pareto item sweeps a whole ε band; an SLO cell is one degree.
+        let degrees = |b: &EpsRange| match (&self.failure, b.max) {
+            (Some(_), Some(max)) => usize::from(max - b.min.unwrap_or(0)) + 1,
+            _ => 1,
+        };
+        let bands = match &self.epsilons {
+            Some(bands) => bands.iter().map(degrees).sum(),
+            None => 1,
+        };
+        let cells = graphs
+            .saturating_mul(bands)
+            .saturating_mul(self.heuristics.len());
+        let (items, count) = match &self.failure {
+            Some(f) => (
+                cells.saturating_mul(f.traces().div_ceil(f.block())),
+                "SLO cells × ⌈\"failure.traces\" / \"failure.block\"⌉",
+            ),
+            None => (cells, "\"instances\" summed over the experiments"),
+        };
+        if items > MAX_WORK_ITEMS {
+            return Err(SpecError::BadValue(format!(
+                "the expanded matrix has at least {items} work items ({count}); \
+                 the limit is {MAX_WORK_ITEMS}"
+            )));
         }
         Ok(())
     }

@@ -7,7 +7,7 @@
 use ltf_core::shard::Shard;
 use ltf_experiments::campaign::{
     journal_key, slo_cells, slo_work_items, work_items, CampaignKind, CampaignSpec, ParetoKind,
-    SloKind, SpecError, TopologyShape, DEFAULT_SEED,
+    SloKind, SpecError, TopologyShape, DEFAULT_SEED, MAX_FAILURE_ITEMS, MAX_WORK_ITEMS,
 };
 use ltf_experiments::{gen_instance, gen_instance_on};
 
@@ -305,6 +305,47 @@ fn failure_counts_must_be_positive() {
     }
 }
 
+/// A spec that would expand past the work-item limit is a typed rejection
+/// before any item exists, through both campaign kinds; the limit itself
+/// still expands.
+#[test]
+fn work_item_count_is_capped_before_expansion() {
+    let big =
+        r#"{"name":"big","graphs":["workload"],"heuristics":["rltf"],"instances":100000000000}"#;
+    let spec = CampaignSpec::parse(big).unwrap();
+    match ParetoKind::new(&spec) {
+        Err(SpecError::BadValue(msg)) => {
+            assert!(msg.contains("\"instances\""), "{msg}");
+            assert!(msg.contains(&MAX_WORK_ITEMS.to_string()), "{msg}");
+        }
+        other => panic!("expected BadValue, got {:?}", other.err()),
+    }
+    let at_limit = big.replace("100000000000", &MAX_WORK_ITEMS.to_string());
+    assert!(CampaignSpec::parse(&at_limit).unwrap().expand().is_ok());
+    // SLO: cells × ⌈traces / block⌉ = 2 × 2^20 blocks.
+    let text = valid_slo().replace(
+        r#""rate": 0.01"#,
+        &format!(r#""rate": 0.01, "traces": {MAX_WORK_ITEMS}, "block": 1"#),
+    );
+    let spec = CampaignSpec::parse(&text).unwrap();
+    match SloKind::new(&spec, spec.failure.as_ref().unwrap()) {
+        Err(SpecError::BadValue(msg)) => assert!(msg.contains("failure.traces"), "{msg}"),
+        other => panic!("expected BadValue, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn failure_items_are_capped() {
+    let msg = slo_bad_value(r#""rate": 0.01"#, r#""rate": 0.01, "items": 10000000000"#);
+    assert!(msg.contains("\"failure.items\""), "{msg}");
+    assert!(msg.contains(&MAX_FAILURE_ITEMS.to_string()), "{msg}");
+    let at_limit = valid_slo().replace(
+        r#""rate": 0.01"#,
+        &format!(r#""rate": 0.01, "items": {MAX_FAILURE_ITEMS}"#),
+    );
+    assert!(CampaignSpec::parse(&at_limit).unwrap().expand().is_ok());
+}
+
 #[test]
 fn fig_families_require_an_explicit_period() {
     let msg = slo_bad_value(r#", "period": 30.0"#, "");
@@ -441,7 +482,22 @@ fn topology_rejections_are_typed() {
     let msg = links(r#"{"Links": [[1, 1, 0.5]]}"#);
     assert!(msg.contains("self-link"), "{msg}");
     let msg = links(r#"{"Links": [[0, 1, -2.0]]}"#);
-    assert!(msg.contains("delay -2"), "{msg}");
+    assert!(msg.contains("delay is -2"), "{msg}");
+    let msg = links(r#"{"Links": [[0, 4, 0.5]]}"#);
+    assert!(
+        msg.contains("link (0, 4): endpoint out of range for 4 processors at m=4"),
+        "{msg}"
+    );
+    // A bad Chain or Star delay is rejected even at m = 1, where the shape
+    // has no link.
+    let one = valid_topology().replace("[4]", "[1]");
+    for shape in ["Chain", "Star"] {
+        let text = one.replace(r#"{"Chain": 0.5}"#, &format!(r#"{{"{shape}": -1.0}}"#));
+        match CampaignSpec::parse(&text).unwrap().expand() {
+            Err(SpecError::BadTopology(msg)) => assert!(msg.contains("delay is -1"), "{msg}"),
+            other => panic!("expected BadTopology for {shape}, got {other:?}"),
+        }
+    }
     let msg = links(r#"{"Links": [[0, 1, 0.5]]}"#);
     assert!(msg.contains("disconnected at m=4"), "{msg}");
     // A shape valid at one swept size but not another names the bad size.

@@ -1,34 +1,22 @@
-//! Routed communication models: link identity underneath the logical
-//! delay matrix.
+//! Routed communication: link identity underneath the logical delay
+//! matrix.
 //!
-//! The paper's platform (§2) is the *logical* view: a fully-connected
-//! `m × m` unit-delay matrix where a routed path is reduced to its
-//! bottleneck bandwidth before the scheduler ever sees it. That erasure is
-//! exactly right for the paper's results, but it cannot express link
+//! The paper's platform (§2) reduces a routed path to its bottleneck
+//! bandwidth in an `m × m` unit-delay matrix. That cannot express link
 //! *contention*: when several transfers share one physical link, the link
 //! — not the endpoint ports — bounds what the schedule can sustain.
 //!
-//! This module keeps both views layered instead of flattened:
-//!
-//! * [`RouteTable`] — the physical links of a [`crate::Topology`] plus,
-//!   cached per ordered processor pair, the [`Route`] the pair's messages
-//!   take (the bottleneck-optimal path and its effective delay).
-//! * [`CommModel`] — the trait the placement engine asks two questions of:
-//!   how many links exist, and which links a `k → h` message traverses.
-//! * [`Uniform`] — the matrix model: no links, every route empty. Engines
-//!   driven by it behave bit-identically to the pre-refactor code.
-//! * [`Contended`] — the routed model: a message reserves every link on
-//!   its route for its whole transfer window, so transfers sharing a link
-//!   serialize, and per-link load counts against the period (condition (1)
-//!   extended with link capacity).
-//!
-//! [`CommDispatch`] is the static-dispatch sum of the two models carried by
-//! [`crate::Platform`], so the probe hot path pays a predictable branch
-//! instead of a vtable call.
+//! [`RouteTable`] keeps the physical links of a [`crate::Topology`] and,
+//! per ordered processor pair, the [`Route`] its messages take (the
+//! bottleneck-optimal path and its delay). A [`crate::Platform`] built
+//! under [`CommMode::Contended`] carries one: each message reserves every
+//! link on its route for its whole transfer window `[start, start +
+//! vol·d_kh)`, so transfers sharing a link serialize, and per-link load
+//! counts against the period. A platform without a table is the paper's
+//! matrix model: no links, every route empty.
 
 use crate::platform::ProcId;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Dense identifier of a physical link, `0..L` in topology declaration
 /// order.
@@ -99,8 +87,8 @@ impl Route {
 }
 
 /// Physical links plus the per-pair route cache. Built once per topology by
-/// [`crate::Topology::route_table`]; shared (via [`Contended`]) by every
-/// engine scheduling on the platform.
+/// [`crate::Topology::route_table`]; shared by every prefix of a contended
+/// platform and every engine scheduling on it.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     m: usize,
@@ -160,186 +148,38 @@ pub enum CommMode {
     Contended,
 }
 
-/// The communication model a placement engine schedules messages through.
-///
-/// Implementations answer two questions on the probe hot path: how many
-/// link timelines must the engine maintain, and which links does a
-/// `k → h` message occupy. A message occupies every returned link for its
-/// whole transfer window `[start, start + vol·d_kh)` — circuit-style, the
-/// conservative reading of "the path keeps the bottleneck bandwidth".
-pub trait CommModel {
-    /// Number of physical links the model reserves capacity on. Zero means
-    /// no link timelines at all (the pure matrix model).
-    fn num_links(&self) -> usize;
-
-    /// The links a `k → h` message traverses. Empty when no link
-    /// reservation applies (matrix model, or co-located pair).
-    fn route(&self, k: ProcId, h: ProcId) -> &[LinkId];
-
-    /// Unit delay of one physical link.
-    ///
-    /// # Panics
-    /// May panic when `l` is out of range (models with no links have no
-    /// valid `LinkId`).
-    fn link_delay(&self, l: LinkId) -> f64;
-}
-
-/// The matrix model: communication costs come from the platform's delay
-/// matrix alone, no link is ever reserved. Engines driven by `Uniform`
-/// produce bit-identical schedules to the pre-`CommModel` code — the
-/// differential suite in `ltf-core` pins this against the frozen
-/// `reference` oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Uniform;
-
-impl CommModel for Uniform {
-    #[inline]
-    fn num_links(&self) -> usize {
-        0
-    }
-
-    #[inline]
-    fn route(&self, _k: ProcId, _h: ProcId) -> &[LinkId] {
-        &[]
-    }
-
-    fn link_delay(&self, l: LinkId) -> f64 {
-        panic!("uniform comm model has no link {l}")
-    }
-}
-
-/// The routed model: every cross-processor message reserves each link on
-/// its cached route for its whole transfer window, so transfers sharing a
-/// physical link serialize even when their endpoint ports are free.
-#[derive(Debug, Clone)]
-pub struct Contended {
-    table: Arc<RouteTable>,
-}
-
-impl Contended {
-    /// Wrap a route table (shared, cheap to clone).
-    pub fn new(table: Arc<RouteTable>) -> Self {
-        Self { table }
-    }
-
-    /// The underlying route table.
-    #[inline]
-    pub fn table(&self) -> &RouteTable {
-        &self.table
-    }
-}
-
-impl CommModel for Contended {
-    #[inline]
-    fn num_links(&self) -> usize {
-        self.table.num_links()
-    }
-
-    #[inline]
-    fn route(&self, k: ProcId, h: ProcId) -> &[LinkId] {
-        self.table.route(k, h).links()
-    }
-
-    #[inline]
-    fn link_delay(&self, l: LinkId) -> f64 {
-        self.table.link(l).delay
-    }
-}
-
-/// Static dispatch over the two communication models. Carried by
-/// [`crate::Platform`]; the engine's probe loop matches once per message
-/// instead of paying a virtual call per timeline query.
-#[derive(Debug, Clone)]
-pub enum CommDispatch {
-    /// Matrix model (the default for every matrix-built platform).
-    Uniform(Uniform),
-    /// Routed model with per-link capacity.
-    Contended(Contended),
-}
-
-impl Default for CommDispatch {
-    fn default() -> Self {
-        CommDispatch::Uniform(Uniform)
-    }
-}
-
-impl CommDispatch {
-    /// `true` when link contention applies.
-    #[inline]
-    pub fn is_contended(&self) -> bool {
-        matches!(self, CommDispatch::Contended(_))
-    }
-
-    /// The route table, when the model keeps one.
-    pub fn route_table(&self) -> Option<&RouteTable> {
-        match self {
-            CommDispatch::Uniform(_) => None,
-            CommDispatch::Contended(c) => Some(c.table()),
-        }
-    }
-}
-
-impl CommModel for CommDispatch {
-    #[inline]
-    fn num_links(&self) -> usize {
-        match self {
-            CommDispatch::Uniform(u) => u.num_links(),
-            CommDispatch::Contended(c) => c.num_links(),
-        }
-    }
-
-    #[inline]
-    fn route(&self, k: ProcId, h: ProcId) -> &[LinkId] {
-        match self {
-            CommDispatch::Uniform(u) => u.route(k, h),
-            CommDispatch::Contended(c) => c.route(k, h),
-        }
-    }
-
-    #[inline]
-    fn link_delay(&self, l: LinkId) -> f64 {
-        match self {
-            CommDispatch::Uniform(u) => u.link_delay(l),
-            CommDispatch::Contended(c) => c.link_delay(l),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::Platform;
     use crate::topology::Topology;
 
     #[test]
     fn uniform_has_no_links() {
-        let u = Uniform;
-        assert_eq!(u.num_links(), 0);
-        assert!(u.route(ProcId(0), ProcId(5)).is_empty());
-        let d = CommDispatch::default();
-        assert!(!d.is_contended());
-        assert!(d.route_table().is_none());
+        let p = Topology::chain(vec![1.0; 3], 2.0).into_platform_with(CommMode::Uniform);
+        let p = p.expect("connected");
+        assert!(!p.is_contended() && p.route_table().is_none());
+        assert_eq!(p.num_links(), 0);
+        assert!(p.route(ProcId(0), ProcId(2)).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "no link")]
     fn uniform_link_delay_panics() {
-        Uniform.link_delay(LinkId(0));
+        Platform::homogeneous(2, 1.0, 1.0).link_delay(LinkId(0));
     }
 
     #[test]
     fn contended_routes_through_table() {
-        let t = Topology::chain(vec![1.0; 3], 2.0);
-        let table = Arc::new(t.route_table().expect("connected"));
-        let c = Contended::new(table);
-        assert_eq!(c.num_links(), 2);
+        let p = Topology::chain(vec![1.0; 3], 2.0).into_contended_platform();
+        let p = p.expect("connected");
+        assert!(p.is_contended());
+        assert_eq!(p.route_table().map(RouteTable::num_links), Some(2));
         // 0 → 2 crosses both chain links, in order.
-        assert_eq!(c.route(ProcId(0), ProcId(2)), &[LinkId(0), LinkId(1)]);
-        assert_eq!(c.route(ProcId(2), ProcId(0)), &[LinkId(1), LinkId(0)]);
-        assert!(c.route(ProcId(1), ProcId(1)).is_empty());
-        assert_eq!(c.link_delay(LinkId(1)), 2.0);
-        let d = CommDispatch::Contended(c);
-        assert!(d.is_contended());
-        assert_eq!(d.route_table().unwrap().num_links(), 2);
+        assert_eq!(p.route(ProcId(0), ProcId(2)), &[LinkId(0), LinkId(1)]);
+        assert_eq!(p.route(ProcId(2), ProcId(0)), &[LinkId(1), LinkId(0)]);
+        assert!(p.route(ProcId(1), ProcId(1)).is_empty());
+        assert_eq!(p.link_delay(LinkId(1)), 2.0);
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub mod platform;
 pub mod topology;
 
 pub use crate::builders::HeterogeneousConfig;
-pub use crate::comm::{
-    CommDispatch, CommMode, CommModel, Contended, Link, LinkId, Route, RouteTable, Uniform,
-};
+pub use crate::comm::{CommMode, Link, LinkId, Route, RouteTable};
 pub use crate::platform::{AverageWeights, AverageWeightsInput, Platform, ProcId};
 pub use crate::topology::Topology;

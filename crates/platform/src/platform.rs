@@ -1,8 +1,6 @@
 //! The platform structure.
 
-use crate::comm::{
-    CommDispatch, CommMode, CommModel, Contended, Link, LinkId, RouteTable, Uniform,
-};
+use crate::comm::{CommMode, Link, LinkId, RouteTable};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -26,12 +24,12 @@ impl std::fmt::Display for ProcId {
     }
 }
 
-/// A fully-interconnected heterogeneous platform.
+/// A fully-interconnected heterogeneous platform: processor speeds, the
+/// `m × m` unit-delay matrix, and an optional [`RouteTable`].
 ///
-/// The logical view is always the `m × m` unit-delay matrix (the paper's
-/// model). A platform built from a [`Topology`] under
-/// [`CommMode::Contended`] additionally carries the routed
-/// [`CommDispatch`]: the delay matrix still holds the bottleneck delays
+/// The logical view is always the matrix (the paper's model). A platform
+/// built from a [`Topology`] under [`CommMode::Contended`] also keeps the
+/// topology's route table: the matrix still holds the bottleneck delays
 /// (so every formula over `d_kh` is unchanged), but placement engines also
 /// see the physical links behind each pair and reserve their capacity.
 #[derive(Debug, Clone)]
@@ -39,9 +37,46 @@ pub struct Platform {
     speeds: Vec<f64>,
     /// Row-major `m × m` unit message delays; `delay[u][u] = 0`.
     delays: Vec<f64>,
-    /// How placement engines model communication (uniform matrix by
-    /// default; routed links for contended topology platforms).
-    comm: CommDispatch,
+    /// The physical links behind the matrix; `Some` only for contended
+    /// topology platforms.
+    routes: Option<Arc<RouteTable>>,
+}
+
+/// The speed rules: between 1 and `u16::MAX` processors, each with a
+/// finite positive speed.
+fn check_speeds(speeds: &[f64]) -> Result<(), String> {
+    if speeds.is_empty() {
+        return Err("platform needs at least one processor".into());
+    }
+    if speeds.len() > u16::MAX as usize {
+        return Err("too many processors".into());
+    }
+    match speeds.iter().position(|s| !(s.is_finite() && *s > 0.0)) {
+        Some(i) => Err(format!("speed of P{} is {}", i + 1, speeds[i])),
+        None => Ok(()),
+    }
+}
+
+/// The delay-matrix rules: `m × m` finite, non-negative unit delays with a
+/// zero diagonal.
+fn check_delays(m: usize, delays: &[f64]) -> Result<(), String> {
+    if delays.len() != m * m {
+        return Err(format!(
+            "delay matrix has {} entries, expected {m}x{m} = {}",
+            delays.len(),
+            m * m
+        ));
+    }
+    for (i, &d) in delays.iter().enumerate() {
+        let (k, h) = (i / m + 1, i % m + 1);
+        if !(d.is_finite() && d >= 0.0) {
+            return Err(format!("delay P{k}->P{h} is {d}"));
+        }
+        if k == h && d != 0.0 {
+            return Err(format!("self-delay of P{k} must be zero"));
+        }
+    }
+    Ok(())
 }
 
 impl serde::Serialize for Platform {
@@ -54,7 +89,7 @@ impl serde::Serialize for Platform {
             String::from("speeds"),
             serde::Serialize::to_value(&self.speeds),
         );
-        match self.comm.route_table() {
+        match self.route_table() {
             None => serde::Value::Map(vec![
                 speeds,
                 (
@@ -105,7 +140,6 @@ fn topology_from_value(speeds: Vec<f64>, v: &serde::Value) -> Result<Platform, s
             return Err(serde::DeError::unknown_field(k, "topology"));
         }
     }
-    let m = speeds.len();
     let mut topo = Topology::new(speeds);
     let links = match entries.iter().find(|(k, _)| k == "links") {
         Some((_, serde::Value::Seq(items))) => items,
@@ -130,21 +164,9 @@ fn topology_from_value(speeds: Vec<f64>, v: &serde::Value) -> Result<Platform, s
         let a: usize = serde::Deserialize::from_value(&triple[0]).map_err(|e| e.at_index(i))?;
         let b: usize = serde::Deserialize::from_value(&triple[1]).map_err(|e| e.at_index(i))?;
         let d: f64 = serde::Deserialize::from_value(&triple[2]).map_err(|e| e.at_index(i))?;
-        if a >= m || b >= m {
-            return Err(serde::DeError::custom(format!(
-                "link {i} endpoint out of range for {m} processors"
-            )));
-        }
-        if a == b {
-            return Err(serde::DeError::custom(format!(
-                "link {i} is a self-link on P{}",
-                a + 1
-            )));
-        }
-        if !d.is_finite() || d <= 0.0 {
-            return Err(serde::DeError::custom(format!("link {i} delay is {d}")));
-        }
-        topo = topo.link(a, b, d);
+        topo = topo
+            .try_link(a, b, d)
+            .map_err(|e| serde::DeError::custom(e).at_index(i))?;
     }
     let mode = match entries.iter().find(|(k, _)| k == "model") {
         Some((_, v)) => CommMode::from_value(v)?,
@@ -175,70 +197,23 @@ impl serde::Deserialize for Platform {
             }
         }
         let speeds: Vec<f64> = serde::__field(entries, "speeds", "Platform")?;
-        let m = speeds.len();
-        if m == 0 {
-            return Err(serde::DeError::custom(
-                "platform needs at least one processor",
-            ));
-        }
-        if m > u16::MAX as usize {
-            return Err(serde::DeError::custom("too many processors"));
-        }
-        for (i, &s) in speeds.iter().enumerate() {
-            if !s.is_finite() || s <= 0.0 {
-                return Err(serde::DeError::custom(format!(
-                    "speed of P{} is {s}",
-                    i + 1
-                )));
-            }
-        }
+        check_speeds(&speeds).map_err(serde::DeError::custom)?;
         let has_delays = entries.iter().any(|(k, _)| k == "delays");
         let topology = entries.iter().find(|(k, _)| k == "topology");
         match (has_delays, topology) {
-            (true, Some(_)) => {
-                return Err(serde::DeError::custom(
-                    "platform takes either `delays` or `topology`, not both",
-                ))
-            }
-            (false, Some((_, t))) => return topology_from_value(speeds, t),
-            (false, None) => {
-                return Err(serde::DeError::custom(
-                    "platform needs `delays` or `topology`",
-                ))
-            }
-            (true, None) => {}
-        }
-        let delays: Vec<f64> = serde::__field(entries, "delays", "Platform")?;
-        if delays.len() != m * m {
-            return Err(serde::DeError::custom(format!(
-                "delay matrix has {} entries, expected {m}x{m} = {}",
-                delays.len(),
-                m * m
-            )));
-        }
-        for k in 0..m {
-            for h in 0..m {
-                let d = delays[k * m + h];
-                if !d.is_finite() || d < 0.0 {
-                    return Err(serde::DeError::custom(format!(
-                        "delay P{}->P{} is {d}",
-                        k + 1,
-                        h + 1
-                    )));
-                }
-                if k == h && d != 0.0 {
-                    return Err(serde::DeError::custom(format!(
-                        "self-delay of P{} must be zero",
-                        k + 1
-                    )));
-                }
+            (true, Some(_)) => Err(serde::DeError::custom(
+                "platform takes either `delays` or `topology`, not both",
+            )),
+            (false, Some((_, t))) => topology_from_value(speeds, t),
+            (false, None) => Err(serde::DeError::custom(
+                "platform needs `delays` or `topology`",
+            )),
+            (true, None) => {
+                let delays: Vec<f64> = serde::__field(entries, "delays", "Platform")?;
+                check_delays(speeds.len(), &delays).map_err(serde::DeError::custom)?;
+                Ok(Self::from_parts(speeds, delays))
             }
         }
-        Ok(Self {
-            speeds,
-            delays,
-            comm: CommDispatch::default(),
-        })
     }
 }
 
@@ -248,97 +223,79 @@ impl Platform {
     ///
     /// # Panics
     /// If sizes mismatch, any speed is ≤ 0, any delay is negative, or a
-    /// diagonal delay is non-zero.
+    /// diagonal delay is non-zero, with the wire decoder's message.
     pub fn from_parts(speeds: Vec<f64>, delays: Vec<f64>) -> Self {
-        let m = speeds.len();
-        assert!(m > 0, "platform needs at least one processor");
-        assert!(m <= u16::MAX as usize, "too many processors");
-        assert_eq!(delays.len(), m * m, "delay matrix size");
-        for (i, &s) in speeds.iter().enumerate() {
-            assert!(s.is_finite() && s > 0.0, "speed of P{} is {s}", i + 1);
-        }
-        for k in 0..m {
-            for h in 0..m {
-                let d = delays[k * m + h];
-                assert!(
-                    d.is_finite() && d >= 0.0,
-                    "delay P{}->P{} is {d}",
-                    k + 1,
-                    h + 1
-                );
-                if k == h {
-                    assert!(d == 0.0, "self-delay of P{} must be zero", k + 1);
-                }
-            }
+        if let Err(e) = check_speeds(&speeds).and_then(|()| check_delays(speeds.len(), &delays)) {
+            panic!("{e}");
         }
         Self {
             speeds,
             delays,
-            comm: CommDispatch::default(),
+            routes: None,
         }
     }
 
     /// Build a routed platform from a topology's [`RouteTable`]: the delay
     /// matrix holds the effective (bottleneck) delay of every cached route,
-    /// and under [`CommMode::Contended`] the comm model keeps the links.
+    /// and under [`CommMode::Contended`] the platform keeps the table.
     /// Crate-internal; reached through [`Topology::into_platform_with`].
     pub(crate) fn routed(speeds: Vec<f64>, table: RouteTable, mode: CommMode) -> Self {
         let m = speeds.len();
         debug_assert_eq!(table.num_procs(), m);
-        let mut delays = vec![0.0f64; m * m];
-        for k in 0..m {
-            for h in 0..m {
-                if k != h {
-                    delays[k * m + h] = table.route(ProcId(k as u16), ProcId(h as u16)).delay();
-                }
-            }
+        // A processor's route to itself is empty, with delay 0.
+        let proc = |i: usize| ProcId(i as u16);
+        let delays = (0..m * m)
+            .map(|i| table.route(proc(i / m), proc(i % m)).delay())
+            .collect();
+        Self {
+            routes: (mode == CommMode::Contended).then(|| Arc::new(table)),
+            ..Self::from_parts(speeds, delays)
         }
-        let comm = match mode {
-            CommMode::Uniform => CommDispatch::Uniform(Uniform),
-            CommMode::Contended => CommDispatch::Contended(Contended::new(Arc::new(table))),
-        };
-        let mut p = Self::from_parts(speeds, delays);
-        p.comm = comm;
-        p
     }
 
-    /// The communication model placement engines schedule messages through.
+    /// The route table of a contended platform; `None` on a matrix one.
     #[inline]
-    pub fn comm(&self) -> &CommDispatch {
-        &self.comm
+    pub fn route_table(&self) -> Option<&RouteTable> {
+        self.routes.as_deref()
     }
 
     /// `true` when transfers reserve per-link capacity (routed contended
     /// platform).
     #[inline]
     pub fn is_contended(&self) -> bool {
-        self.comm.is_contended()
+        self.routes.is_some()
     }
 
-    /// Number of physical links the comm model reserves capacity on
-    /// (0 for the uniform matrix model).
+    /// Number of physical links with reservable capacity (0 on a matrix platform).
     #[inline]
     pub fn num_links(&self) -> usize {
-        self.comm.num_links()
+        self.route_table().map_or(0, RouteTable::num_links)
     }
 
     /// The physical links a `k → h` message traverses (empty for the
-    /// uniform model or a co-located pair).
+    /// matrix model or a co-located pair).
     #[inline]
     pub fn route(&self, k: ProcId, h: ProcId) -> &[LinkId] {
-        self.comm.route(k, h)
+        self.route_table().map_or(&[], |t| t.route(k, h).links())
     }
 
-    /// Unit delay of one physical link of the routed model.
+    /// Unit delay of one physical link of a contended platform.
+    ///
+    /// # Panics
+    /// On a matrix platform, which has no links, or when `l` is out of
+    /// range.
     #[inline]
     pub fn link_delay(&self, l: LinkId) -> f64 {
-        self.comm.link_delay(l)
+        match self.route_table() {
+            Some(t) => t.link(l).delay,
+            None => panic!("matrix platform has no link {l}"),
+        }
     }
 
-    /// The physical links of the routed model, in `LinkId` order (empty
-    /// for the uniform matrix model).
+    /// The physical links of a contended platform, in `LinkId` order
+    /// (empty for the matrix model).
     pub fn topology_links(&self) -> &[Link] {
-        self.comm.route_table().map_or(&[], RouteTable::links)
+        self.route_table().map_or(&[], RouteTable::links)
     }
 
     /// Fully homogeneous platform: `m` processors of speed `speed`, all
@@ -354,13 +311,8 @@ impl Platform {
     /// The 4-processor platform of the paper's Fig. 1 example:
     /// `s1 = s3 = 1.5`, `s2 = s4 = 1`, all links unit bandwidth.
     pub fn fig1_platform() -> Self {
-        let speeds = vec![1.5, 1.0, 1.5, 1.0];
-        let m = 4;
-        let mut delays = vec![1.0; m * m];
-        for u in 0..m {
-            delays[u * m + u] = 0.0;
-        }
-        Self::from_parts(speeds, delays)
+        let unit = Self::homogeneous(4, 1.0, 1.0);
+        Self::from_parts(vec![1.5, 1.0, 1.5, 1.0], unit.delays)
     }
 
     /// Number of processors `m`.
@@ -490,17 +442,12 @@ impl Platform {
     /// interconnect. The table is shared, so the prefix is cheap.
     pub fn prefix(&self, m: usize) -> Platform {
         assert!(m >= 1 && m <= self.num_procs());
-        let old_m = self.num_procs();
-        let speeds = self.speeds[..m].to_vec();
-        let mut delays = vec![0.0; m * m];
-        for k in 0..m {
-            for h in 0..m {
-                delays[k * m + h] = self.delays[k * old_m + h];
-            }
+        let rows = self.delays.chunks(self.num_procs()).take(m);
+        let delays = rows.flat_map(|row| &row[..m]).copied().collect();
+        Platform {
+            routes: self.routes.clone(),
+            ..Platform::from_parts(self.speeds[..m].to_vec(), delays)
         }
-        let mut p = Platform::from_parts(speeds, delays);
-        p.comm = self.comm.clone();
-        p
     }
 
     /// HEFT-style averaged weights for priority computation: node weight
@@ -721,6 +668,15 @@ mod tests {
         assert!(err(&topo_value(vec![link(0, 7, 1.0)], None)).contains("out of range"));
         assert!(err(&topo_value(vec![link(1, 1, 1.0)], None)).contains("self-link"));
         assert!(err(&topo_value(vec![link(0, 1, -2.0)], None)).contains("delay is -2"));
+        assert!(err(&topo_value(vec![link(3, 0, 1.0)], None)).contains("out of range"));
+        assert!(err(&topo_value(vec![link(0, 1, 0.0)], None)).contains("delay is 0"));
+        assert!(err(&topo_value(vec![link(0, 1, f64::NAN)], None)).contains("delay is NaN"));
+        // The link index comes first, then the defect.
+        let second = err(&topo_value(vec![link(0, 1, 1.0), link(2, 2, 1.0)], None));
+        assert!(
+            second.starts_with("[1]: link (2, 2): self-link"),
+            "{second}"
+        );
         assert!(err(&topo_value(vec![link(0, 1, 1.0)], None)).contains("disconnected"));
         assert!(err(&topo_value(
             vec![link(0, 1, 1.0), link(1, 2, 1.0)],

@@ -36,13 +36,28 @@ impl Topology {
     /// (`= 1/bandwidth`).
     ///
     /// # Panics
-    /// On out-of-range endpoints, self-links, or non-positive delay.
-    pub fn link(mut self, a: usize, b: usize, unit_delay: f64) -> Self {
+    /// With [`Topology::try_link`]'s message when the link breaks a rule.
+    pub fn link(self, a: usize, b: usize, unit_delay: f64) -> Self {
+        self.try_link(a, b, unit_delay)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Add an undirected physical link, or say which link rule it breaks:
+    /// both endpoints in range, no self-link, a finite positive delay.
+    /// This is the one place those rules are written.
+    pub fn try_link(mut self, a: usize, b: usize, unit_delay: f64) -> Result<Self, String> {
         let m = self.speeds.len();
-        assert!(a < m && b < m && a != b, "bad link endpoints");
-        assert!(unit_delay.is_finite() && unit_delay > 0.0, "bad delay");
-        self.links.push((a, b, unit_delay));
-        self
+        let defect = if a >= m || b >= m {
+            format!("endpoint out of range for {m} processors")
+        } else if a == b {
+            format!("self-link on P{}", a + 1)
+        } else if !(unit_delay.is_finite() && unit_delay > 0.0) {
+            format!("delay is {unit_delay}, not a positive finite number")
+        } else {
+            self.links.push((a, b, unit_delay));
+            return Ok(self);
+        };
+        Err(format!("link ({a}, {b}): {defect}"))
     }
 
     /// Common shape: a linear chain `P1 - P2 - … - Pm` with uniform delay.
@@ -284,6 +299,27 @@ mod tests {
             .expect("connected");
         assert_eq!(p.unit_delay(ProcId(0), ProcId(2)), 0.25);
         assert_eq!(p.speed(ProcId(1)), 2.0);
+    }
+
+    #[test]
+    fn try_link_names_each_defect_and_link_panics_with_it() {
+        let three = || Topology::new(vec![1.0; 3]);
+        for (a, b, d, defect) in [
+            (0, 3, 1.0, "endpoint out of range for 3 processors"),
+            (3, 0, 1.0, "endpoint out of range for 3 processors"),
+            (1, 1, 1.0, "self-link on P2"),
+            (0, 1, 0.0, "delay is 0,"),
+            (0, 1, -1.0, "delay is -1,"),
+            (0, 1, f64::NAN, "delay is NaN,"),
+            (0, 1, f64::INFINITY, "delay is inf,"),
+        ] {
+            let err = three().try_link(a, b, d).unwrap_err();
+            assert!(err.contains(defect), "({a}, {b}, {d}): {err}");
+            let payload = std::panic::catch_unwind(|| three().link(a, b, d)).unwrap_err();
+            assert_eq!(payload.downcast_ref::<String>(), Some(&err));
+        }
+        let t = three().try_link(0, 2, 0.5).expect("valid link");
+        assert_eq!(t.links(), &[(0, 2, 0.5)]);
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl Schedule {
     /// keeps no route table — matrix platforms have no link identity to
     /// measure against.
     pub fn max_link_utilization(&self, p: &Platform) -> Option<f64> {
-        let table = p.comm().route_table()?;
+        let table = p.route_table()?;
         let mut load = vec![0.0f64; table.num_links()];
         for ev in &self.comm_events {
             for &l in table.route(ev.src_proc, ev.dst_proc).links() {

@@ -47,10 +47,10 @@ use crate::proto::{
     ok_line, parse_request, to_line, ErrResponse, Request, ShardRequest, SolutionWire, SolveRequest,
 };
 use crate::stats::{ServiceStats, StatsReport};
-use ltf_baselines::full_solver;
+use ltf_baselines::{full_solver, FULL};
 use ltf_core::par::{parallel_map, resolve_threads};
 use ltf_core::shard::Shard;
-use ltf_core::{AlgoConfig, MAX_PROCS};
+use ltf_core::{lookup, AlgoConfig, MAX_PROCS};
 use serde::{Serialize, Value};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -104,8 +104,8 @@ struct StatsReply {
     stats: StatsReport,
 }
 
-/// The scheduler service: registry name table, solution and verdict
-/// caches, and accounting. One instance serves any number of independent
+/// The scheduler service: the registry's name table, solution and
+/// verdict caches, and accounting. One instance serves any number of independent
 /// requests, from any number of threads; the graph/platform travel *in*
 /// each request, so no instance state outlives a line except the caches
 /// and the counters.
@@ -168,17 +168,10 @@ fn solve(req: &SolveRequest, canonical: &str, cfg: &AlgoConfig) -> Solved {
 }
 
 impl Service {
-    /// A service over the full built-in strategy family
-    /// (`ltf_baselines::full_solver`).
+    /// A service over the full strategy family (`ltf_baselines::FULL`).
     pub fn new(config: ServiceConfig) -> Self {
-        // Probe the registry once with a throwaway instance to learn the
-        // canonical-name/alias table; per-request lookups then resolve
-        // names without building a solver.
-        let g = ltf_graph::generate::fig1_diamond();
-        let p = ltf_platform::Platform::fig1_platform();
-        let solver = full_solver(&g, &p);
-        let names = solver
-            .heuristics()
+        let names = FULL
+            .iter()
             .map(|h| HeuristicInfo {
                 name: h.name().to_string(),
                 aliases: h.aliases().iter().map(|a| a.to_string()).collect(),
@@ -208,19 +201,10 @@ impl Service {
         &self.names
     }
 
-    /// Resolve a request's heuristic name to its canonical form,
-    /// mirroring the registry's precedence: canonical names win over
-    /// aliases, both case-insensitively.
+    /// Resolve a request's heuristic name to its canonical form with the
+    /// registry's own [`lookup`].
     pub fn canonicalize(&self, name: &str) -> Option<&str> {
-        self.names
-            .iter()
-            .find(|h| h.name.eq_ignore_ascii_case(name))
-            .or_else(|| {
-                self.names
-                    .iter()
-                    .find(|h| h.aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
-            })
-            .map(|h| h.name.as_str())
+        lookup(&FULL, name).map(|h| h.name())
     }
 
     /// Current statistics snapshot.

@@ -4,6 +4,9 @@
 //! the same instance succeeds. A malformed line must never terminate the
 //! daemon.
 
+use ltf_baselines::full_solver;
+use ltf_graph::generate::fig1_diamond;
+use ltf_platform::Platform;
 use ltf_serve::{Service, ServiceConfig};
 use serde::{Deserialize, Value};
 
@@ -100,6 +103,27 @@ fn unknown_heuristic_name() {
     // The reply echoes the offending name in the heuristic field.
     let resp = s.handle_line(&line);
     assert!(resp.contains(r#""heuristic":"magic""#), "{resp}");
+}
+
+/// Serve resolves names with the registry's own lookup: every canonical
+/// name, every alias and an unknown name canonicalize exactly as a
+/// `full_solver` session resolves them.
+#[test]
+fn canonicalize_agrees_with_the_solver_registry() {
+    let s = service();
+    let (g, p) = (fig1_diamond(), Platform::fig1_platform());
+    let solver = full_solver(&g, &p);
+    let names = s
+        .heuristics()
+        .iter()
+        .flat_map(|h| std::iter::once(h.name.as_str()).chain(h.aliases.iter().map(String::as_str)));
+    for name in names.chain(["zeus"]) {
+        assert_eq!(
+            s.canonicalize(name),
+            solver.heuristic(name).map(|h| h.name()),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -270,6 +294,33 @@ fn overflowing_instance_is_rejected_not_hung() {
         assert!(message.contains("overflows"), "{h}: {message}");
         let (id, status, ..) = envelope(&next);
         assert_eq!((id, status.as_str()), (Some(100), "ok"), "{h}: {next}");
+    }
+}
+
+/// Shard requests whose specs would expand past the campaign limits used
+/// to abort the daemon on a failed allocation (or draw the OOM killer).
+/// Both are `shard-failed` replies now, and the next line is answered.
+#[test]
+fn oversized_shard_specs_are_rejected_not_allocated() {
+    let s = service();
+    let pareto = r#"{"cmd":"shard","id":0,"spec":{"name":"big","graphs":["workload"],"heuristics":["rltf"],"instances":100000000000},"shard":"0/1000000000"}"#;
+    let slo = r#"{"cmd":"shard","id":1,"spec":{"name":"long","graphs":["fig1"],"heuristics":["rltf"],"epsilons":[{"max":1}],"failure":{"rate":0.01,"period":30.0,"items":10000000000}},"shard":"0/1"}"#;
+    for (line, field) in [(pareto, "\"instances\""), (slo, "\"failure.items\"")] {
+        let v: Value = serde_json::from_str(&s.handle_line(line)).expect("JSON reply");
+        let Value::Map(entries) = &v else {
+            panic!("reply is not a map: {v:?}")
+        };
+        let field_of = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        assert_eq!(field_of("ok"), Some(&Value::Bool(false)), "{v:?}");
+        assert_eq!(
+            field_of("error"),
+            Some(&Value::Str("shard-failed".to_string())),
+            "{v:?}"
+        );
+        let message = String::from_value(field_of("message").expect("message")).unwrap();
+        assert!(message.contains(field), "{message}");
+        let (_, status, ..) = envelope(&s.handle_line(r#"{"cmd":"heuristics"}"#));
+        assert_eq!(status, "ok");
     }
 }
 

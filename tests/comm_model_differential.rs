@@ -1,9 +1,9 @@
 //! Differential tests for the layered communication model.
 //!
-//! The `CommModel` refactor split the platform's communication view in two:
-//! `Uniform` (the paper's flattened bottleneck-delay matrix) and
-//! `Contended` (routes stay first-class and messages reserve every physical
-//! link they traverse). Two families of guarantees are pinned here:
+//! A topology platform communicates in one of two modes: `Uniform` (the
+//! paper's flattened bottleneck-delay matrix) and `Contended` (the platform
+//! keeps its route table and messages reserve every physical link they
+//! traverse). Two families of guarantees are pinned here:
 //!
 //! * **Uniform is bit-identical to the pre-refactor code.** A topology
 //!   lowered with `CommMode::Uniform` must schedule exactly like the same
