@@ -8,10 +8,7 @@ use ltf_bench::quick_criterion;
 use ltf_core::{AlgoConfig, Heuristic, PreparedInstance, Rltf};
 use ltf_experiments::workload::{gen_instance, PaperWorkload};
 use ltf_schedule::{failures, CrashSet};
-use ltf_sim::{
-    asap, asap_trace, synchronous, AsapConfig, CrashTrace, RecoveryPolicy, SynchronousConfig,
-    TraceConfig,
-};
+use ltf_sim::{asap, synchronous, CrashTrace, RecoveryPolicy, TraceConfig};
 
 fn main() {
     let mut c: Criterion = quick_criterion();
@@ -27,16 +24,23 @@ fn main() {
         sched.comm_count()
     );
 
+    let m = inst.platform.num_procs();
+    let never = TraceConfig::new(100, CrashTrace::never(m), RecoveryPolicy::FailStop);
     let mut group = c.benchmark_group("sim");
     group.bench_function("asap_100_items", |b| {
-        let cfg = AsapConfig::new(100);
-        b.iter(|| asap(black_box(&inst.graph), black_box(&sched), black_box(&cfg)))
+        b.iter(|| {
+            asap(
+                black_box(&inst.graph),
+                black_box(&inst.platform),
+                black_box(&sched),
+                black_box(&never),
+            )
+        })
     });
     group.bench_function("asap_trace_reroute_64_items", |b| {
         // Every processor dies at a finite time, so every crash event
         // fires; every sixth one dies inside the 64-item horizon and
         // triggers re-routes.
-        let m = inst.platform.num_procs();
         let horizon = 64.0 * sched.period();
         let times = (0..m)
             .map(|u| match u % 6 {
@@ -50,7 +54,7 @@ fn main() {
             RecoveryPolicy::Reroute,
         );
         b.iter(|| {
-            asap_trace(
+            asap(
                 black_box(&inst.graph),
                 black_box(&inst.platform),
                 black_box(&sched),
@@ -59,8 +63,7 @@ fn main() {
         })
     });
     group.bench_function("synchronous_100_items", |b| {
-        let cfg = SynchronousConfig::new(100);
-        b.iter(|| synchronous(black_box(&inst.graph), black_box(&sched), black_box(&cfg)))
+        b.iter(|| synchronous(black_box(&inst.graph), black_box(&sched), black_box(&never)))
     });
     group.bench_function("crash_analysis_single", |b| {
         let crash = CrashSet::from_procs(&[ltf_platform::ProcId(3)], 20);

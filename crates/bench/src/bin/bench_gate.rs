@@ -25,10 +25,11 @@
 //!   median.
 //!
 //! Exit codes: 0 all within tolerance, 1 regression (or baseline entry
-//! missing from the current run), 2 usage/IO error. Benchmarks present
-//! only in the current run warn and are skipped — never a failure — so
-//! new benches can land before their baseline does (the policy lives in
-//! [`ltf_bench::gate`], where it is unit-tested).
+//! missing from the current run), 2 usage/IO error or an entry that does
+//! not decode. Benchmarks present only in the current run warn and are
+//! skipped — never a failure — so new benches can land before their
+//! baseline does (the policy lives in [`ltf_bench::gate`], where it is
+//! unit-tested).
 
 use ltf_bench::gate::{compare, GateOptions, Verdict};
 use ltf_bench::{parse_bench_json, BenchEntry};
@@ -73,10 +74,11 @@ fn main() -> ExitCode {
     };
 
     let read = |p: &str| -> Option<Vec<BenchEntry>> {
-        match std::fs::read_to_string(p) {
-            Ok(text) => Some(parse_bench_json(&text)),
+        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
+        match text.and_then(|t| parse_bench_json(&t).map_err(|e| format!("{p}: {e}"))) {
+            Ok(entries) => Some(entries),
             Err(e) => {
-                eprintln!("bench-gate: cannot read {p}: {e}");
+                eprintln!("bench-gate: {e}");
                 None
             }
         }

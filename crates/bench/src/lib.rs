@@ -17,6 +17,7 @@
 //!   last target's results.
 
 use criterion::Criterion;
+use serde::Deserialize;
 
 pub mod gate;
 
@@ -52,64 +53,65 @@ pub struct BenchEntry {
     pub min_ns: Option<f64>,
 }
 
-/// Parse the `{"entries": [{"name": ..., "median_ns": ...}]}` documents
-/// written by the criterion shim (and the checked-in `BENCH_*.json`
-/// baselines) without a JSON dependency: the format is fixed, so a scan
-/// for `"name"` keys with field lookups *bounded to each entry's segment*
-/// (the text before the next `"name"`) suffices. An entry without a
-/// parsable `median_ns` in its segment is dropped rather than paired with
-/// a later entry's value.
+/// One entry as the criterion shim and the committed `BENCH_*.json`
+/// baselines write it. The derive rejects any other field; the gate reads
+/// only the name, the median and the minimum.
+#[derive(Deserialize)]
+struct RawEntry {
+    name: String,
+    median_ns: f64,
+    min_ns: Option<f64>,
+    #[allow(dead_code)]
+    max_ns: Option<f64>,
+    #[allow(dead_code)]
+    pre_pr_median_ns: Option<f64>,
+}
+
+#[derive(Deserialize)]
+struct BenchDoc {
+    #[allow(dead_code)]
+    schema: Option<String>,
+    entries: Vec<RawEntry>,
+}
+
+/// Decode a `{"schema": ..., "entries": [{"name": ..., "median_ns": ...}]}`
+/// document written by the criterion shim (or a checked-in `BENCH_*.json`
+/// baseline). Every entry needs a positive finite `median_ns`, and a
+/// positive finite `min_ns` when it has one; anything else is an error
+/// naming the entry, so the gate never silently skips a baseline row it
+/// cannot read.
 ///
 /// Used by the `bench-gate` binary; lives in the library so it is unit-
 /// and doc-testable.
 ///
 /// ```
 /// let doc = r#"{"entries": [{"name": "g/A/1", "median_ns": 42.0}]}"#;
-/// let entries = ltf_bench::parse_bench_json(doc);
+/// let entries = ltf_bench::parse_bench_json(doc).unwrap();
 /// assert_eq!(entries[0].name, "g/A/1");
 /// assert_eq!(entries[0].median_ns, 42.0);
 /// assert_eq!(entries[0].min_ns, None);
 /// ```
-pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
-    /// Number following `"key":` within `segment`, if any. The leading
-    /// quote in the needle guards against suffix keys (`pre_pr_median_ns`
-    /// does not match `"median_ns"`).
-    fn field(segment: &str, key: &str) -> Option<f64> {
-        let needle = format!("\"{key}\"");
-        let after = &segment[segment.find(&needle)? + needle.len()..];
-        let after = &after[after.find(':')? + 1..];
-        let num: String = after
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-            .collect();
-        num.parse().ok()
-    }
-
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\"") {
-        rest = &rest[pos + "\"name\"".len()..];
-        let Some(q1) = rest.find('"') else { break };
-        let Some(q2) = rest[q1 + 1..].find('"') else {
-            break;
-        };
-        let name = rest[q1 + 1..q1 + 1 + q2].to_string();
-        rest = &rest[q1 + 1 + q2 + 1..];
-        // Bound all field lookups to this entry's segment.
-        let segment = match rest.find("\"name\"") {
-            Some(next) => &rest[..next],
-            None => rest,
-        };
-        if let Some(median_ns) = field(segment, "median_ns") {
-            out.push(BenchEntry {
-                name,
-                median_ns,
-                min_ns: field(segment, "min_ns"),
-            });
+pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
+    let doc: BenchDoc = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    for e in &doc.entries {
+        for (field, v) in [("median_ns", Some(e.median_ns)), ("min_ns", e.min_ns)] {
+            if let Some(v) = v.filter(|v| !(v.is_finite() && *v > 0.0)) {
+                let name = &e.name;
+                return Err(format!(
+                    "entry `{name}`: {field} {v} is not a positive finite number"
+                ));
+            }
         }
     }
-    out
+    Ok(doc
+        .entries
+        .into_iter()
+        .map(|e| BenchEntry {
+            name: e.name,
+            median_ns: e.median_ns,
+            min_ns: e.min_ns,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -125,7 +127,7 @@ mod tests {
     {"name": "scaling_tasks/R-LTF/50", "median_ns": 4505392.0, "min_ns": 4025046.0, "max_ns": 4940126.0}
   ]
 }"#;
-        let entries = parse_bench_json(doc);
+        let entries = parse_bench_json(doc).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].name, "scaling_tasks/LTF/50");
         assert_eq!(entries[0].median_ns, 1437331.3);
@@ -138,30 +140,51 @@ mod tests {
         let doc = r#"{"entries": [
             {"pre_pr_median_ns": 9.0, "name": "a/b", "median_ns": 1.5e3}
         ]}"#;
-        let entries = parse_bench_json(doc);
+        let entries = parse_bench_json(doc).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].name, "a/b");
         assert_eq!(entries[0].median_ns, 1500.0);
         assert_eq!(entries[0].min_ns, None);
+        // The committed baselines carry `max_ns` and `pre_pr_median_ns`.
+        for file in ["BENCH_scaling.json", "BENCH_pareto.json"] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let entries = parse_bench_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert!(entries.iter().all(|e| e.min_ns.is_some()), "{file}");
+        }
     }
 
-    #[test]
-    fn entry_without_median_is_dropped_not_mispaired() {
-        // "A" has no median in its own segment; it must not steal B's.
-        let doc = r#"{"entries": [
-            {"name": "A"},
-            {"name": "B", "median_ns": 5.0, "min_ns": 4.0}
-        ]}"#;
-        let entries = parse_bench_json(doc);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].name, "B");
-        assert_eq!(entries[0].median_ns, 5.0);
-    }
-
+    /// Every malformed document or entry fails the whole parse, with an
+    /// error that names the entry (by name, or by its position when it
+    /// does not decode) — the gate never skips a baseline row.
     #[test]
     fn empty_and_garbage_inputs() {
-        assert!(parse_bench_json("").is_empty());
-        assert!(parse_bench_json("{\"entries\": []}").is_empty());
-        assert!(parse_bench_json("\"name\": truncated").is_empty());
+        assert_eq!(parse_bench_json(r#"{"entries": []}"#), Ok(vec![]));
+        assert!(parse_bench_json("").is_err());
+        assert!(parse_bench_json(r#""name": truncated"#).is_err());
+        let cases = [
+            (
+                r#""median_ns": "1000.0", "min_ns": "1.0""#,
+                "[0]: median_ns: expected number",
+            ),
+            (r#""median_ns": 1,000.0"#, "at byte"),
+            (r#""median_ns": 0"#, "`b/y`: median_ns 0"),
+            (r#""median_ns": -5.0"#, "`b/y`: median_ns -5"),
+            (r#""median_ns": 1e400"#, "`b/y`: median_ns inf"),
+            (r#""median_ns": 10.0, "min_ns": 0.0"#, "`b/y`: min_ns 0"),
+            (
+                r#""median_ns": 10.0, "min_ns": "9""#,
+                "[0]: min_ns: expected number",
+            ),
+            (
+                r#""median_ns": 10.0, "mean_ns": 9.0"#,
+                "[0]: unknown field `mean_ns`",
+            ),
+            (r#""min_ns": 10.0"#, "[0]: missing field `median_ns`"),
+        ];
+        for (fields, needle) in cases {
+            let doc = format!(r#"{{"entries": [{{"name": "b/y", {fields}}}]}}"#);
+            let err = parse_bench_json(&doc).unwrap_err();
+            assert!(err.contains(needle), "{fields}: {err:?} misses {needle:?}");
+        }
     }
 }

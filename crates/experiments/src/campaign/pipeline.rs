@@ -19,11 +19,9 @@ use super::merge::{CampaignResult, Merger};
 use super::pareto::ParetoKind;
 use super::slo::SloKind;
 use super::spec::{CampaignSpec, Experiment, SpecError};
-use crate::checkpoint::{resume_chunks, Checkpoint};
-use crate::figures::window_for;
+use crate::checkpoint::{resume, window_for};
 use ltf_core::shard::Shard;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
 use std::io::Write;
 use std::path::Path;
 
@@ -83,39 +81,13 @@ pub fn run_shard<K: CampaignKind>(
     let spec = kind.spec();
     let sig = spec.signature();
     let owned: Vec<usize> = (0..kind.items().len()).filter(|&i| shard.owns(i)).collect();
-    let key = |&i: &usize| journal_key(K::PREFIX, &spec.name, sig, i);
-    let expected: HashSet<String> = owned.iter().map(key).collect();
     let mut emitted = 0usize;
-    let mut ckpt = match journal {
-        Some(path) => Some(
-            Checkpoint::open(path, |k, value| {
-                if !expected.contains(k) {
-                    return false; // different campaign or shard sharing the file
-                }
-                match K::Result::from_value(value) {
-                    Ok(r) => {
-                        emitted += 1;
-                        emit(r);
-                        true
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: checkpoint: record {k} does not decode ({e}); recomputing"
-                        );
-                        false
-                    }
-                }
-            })
-            .map_err(|e| format!("checkpoint: {e}"))?,
-        ),
-        None => None,
-    };
-    resume_chunks(
+    resume(
+        journal,
         &owned,
         threads,
         window_for(threads),
-        &mut ckpt,
-        key,
+        |&i| journal_key(K::PREFIX, &spec.name, sig, i),
         |&i| kind.compute(&kind.items()[i]),
         |_, r| {
             emitted += 1;

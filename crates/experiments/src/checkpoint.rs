@@ -14,20 +14,20 @@
 //! the file back to the last complete record and resumes from there — the
 //! journal is always a clean prefix of the uninterrupted run.
 //!
-//! Memory stays bounded by construction: replay is streamed line by line
-//! through a caller callback (nothing is retained here), and
-//! [`resume_chunks`] computes pending items in fixed-size windows,
-//! recording and handing each window to the caller before the next one
-//! starts.
+//! [`resume`] is the protocol every checkpointed sweep runs: it replays
+//! the journalled records of its own items, then computes the rest in
+//! fixed-size windows, recording and handing each window to the caller
+//! before the next one starts. Memory stays bounded by construction:
+//! replay is streamed line by line, and nothing is retained here.
 //!
 //! Decoding is the serde derive's: each journalled record type derives
-//! `Deserialize`, and a replay callback lifts its `record` tree with
+//! `Deserialize`, and [`resume`] lifts a `record` tree with
 //! `T::from_value`. The derive is strict, so a record of another shape is
 //! rejected and recomputed rather than half-read.
 
 use ltf_core::par::parallel_map;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -69,7 +69,7 @@ impl Checkpoint {
     /// complete record already in it through `replay(key, record)`.
     ///
     /// `replay` returns whether it **accepted** the record. Only accepted
-    /// keys enter the done-set (and are skipped by [`resume_chunks`]):
+    /// keys enter the done-set (and are skipped by [`resume`]):
     /// a record the caller cannot decode — schema drift, or a record
     /// belonging to a different run configuration sharing the journal —
     /// stays pending and is simply recomputed (and re-appended; on later
@@ -193,44 +193,81 @@ impl<T: Serialize + ?Sized> Serialize for Record<'_, T> {
     }
 }
 
-/// Drive `compute` over every item whose `key` is not yet journalled, in
-/// windows of `window` items on `threads` workers. Results are recorded
-/// (journal + done-set) and handed to `consume` **in item order** within
-/// each window, so the journal — and any output derived from it — is a
-/// deterministic prefix of the uninterrupted run no matter where a kill
-/// lands. Items already completed are skipped entirely; their records
-/// were replayed when the checkpoint was opened. With `ckpt = None` this
-/// degrades to a windowed parallel map (same output, no journal).
-pub fn resume_chunks<I, T, K, C, U>(
+/// Produce one result per item, replaying what `journal` already holds
+/// and computing the rest, and hand each to `emit(index, result)` exactly
+/// once.
+///
+/// Records whose key belongs to one of the items and whose payload
+/// decodes are emitted first, in journal order. A record of another run
+/// sharing the file is skipped; one of ours that does not decode is
+/// reported and recomputed. The remaining items are computed `window` at a
+/// time on `threads` workers, and each window is journalled and emitted
+/// **in item order**, so the journal — and any output derived from it — is
+/// a deterministic prefix of the uninterrupted run no matter where a kill
+/// lands. With `journal = None` this is a windowed parallel map.
+pub fn resume<I, T, K, C, E>(
+    journal: Option<&Path>,
     items: &[I],
     threads: usize,
     window: usize,
-    ckpt: &mut Option<Checkpoint>,
     key: K,
     compute: C,
-    mut consume: U,
+    mut emit: E,
 ) -> io::Result<()>
 where
     I: Sync,
-    T: Send + Serialize,
+    T: Send + Serialize + Deserialize,
     K: Fn(&I) -> String,
     C: Fn(&I) -> T + Sync,
-    U: FnMut(&I, T),
+    E: FnMut(usize, T),
 {
-    let pending: Vec<&I> = items
-        .iter()
-        .filter(|i| !ckpt.as_ref().is_some_and(|c| c.contains(&key(i))))
-        .collect();
+    let mut done = vec![false; items.len()];
+    let mut ckpt = match journal {
+        Some(path) => {
+            let index: HashMap<String, usize> = items
+                .iter()
+                .enumerate()
+                .map(|(i, it)| (key(it), i))
+                .collect();
+            Some(Checkpoint::open(path, |k, record| {
+                let Some(&i) = index.get(k) else {
+                    return false; // another run's record sharing the file
+                };
+                match T::from_value(record) {
+                    Ok(t) => {
+                        done[i] = true;
+                        emit(i, t);
+                        true
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "warning: checkpoint: record {k} does not decode ({e}); recomputing"
+                        );
+                        false
+                    }
+                }
+            })?)
+        }
+        None => None,
+    };
+    let pending: Vec<usize> = (0..items.len()).filter(|&i| !done[i]).collect();
     for chunk in pending.chunks(window.max(1)) {
-        let outs = parallel_map(chunk, threads, |i| compute(i));
-        for (i, t) in chunk.iter().zip(outs) {
+        let outs = parallel_map(chunk, threads, |&i| compute(&items[i]));
+        for (&i, t) in chunk.iter().zip(outs) {
             if let Some(c) = ckpt.as_mut() {
-                c.record(&key(i), &t)?;
+                c.record(&key(&items[i]), &t)?;
             }
-            consume(i, t);
+            emit(i, t);
         }
     }
     Ok(())
+}
+
+/// Window of in-flight work items per [`resume`] call: enough to keep
+/// every worker busy, small enough to bound both memory and the work a
+/// kill can lose.
+pub fn window_for(threads: usize) -> usize {
+    (threads.max(1) * 4).max(16)
 }
 
 #[cfg(test)]
@@ -384,49 +421,31 @@ mod tests {
     }
 
     #[test]
-    fn resume_chunks_skips_done_items() {
+    fn resume_skips_done_items() {
         let path = tmp("chunks");
         let items: Vec<u64> = (0..10).collect();
         let key = |i: &u64| format!("item-{i}");
-        // First run: compute everything.
-        let mut ck = Some(Checkpoint::open(&path, |_, _| true).unwrap());
+        let row = |i: &u64| Row {
+            seed: *i,
+            val: *i as f64,
+        };
+        // First run: compute everything, emitted in item order.
         let mut order = Vec::new();
-        resume_chunks(
-            &items,
-            4,
-            3,
-            &mut ck,
-            key,
-            |i| Row {
-                seed: *i,
-                val: *i as f64,
-            },
-            |i, _| order.push(*i),
-        )
-        .unwrap();
-        assert_eq!(order, items, "consume order must match item order");
+        resume(Some(&path), &items, 4, 3, key, row, |i, _| order.push(i)).unwrap();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
         // Second run: everything is replayed, nothing recomputed.
-        let mut replayed = 0;
-        let mut ck = Some(
-            Checkpoint::open(&path, |_, _| {
-                replayed += 1;
-                true
-            })
-            .unwrap(),
-        );
-        let mut computed = Vec::new();
-        resume_chunks(
+        let mut replayed = Vec::new();
+        resume(
+            Some(&path),
             &items,
             4,
             3,
-            &mut ck,
             key,
-            |i| Row { seed: *i, val: 0.0 },
-            |i, _| computed.push(*i),
+            |_| -> Row { panic!("no pending work after a full run") },
+            |i, r| replayed.push((i, r.seed)),
         )
         .unwrap();
-        assert_eq!(replayed, 10);
-        assert!(computed.is_empty(), "no pending work after a full run");
+        assert_eq!(replayed, (0..10).map(|i| (i, i as u64)).collect::<Vec<_>>());
         std::fs::remove_file(&path).unwrap();
     }
 }

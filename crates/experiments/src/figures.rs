@@ -9,12 +9,10 @@
 //! * panel (c) — fault-tolerance overhead (%) against the fault-free
 //!   reference schedule: `(L_algo − L_FF) / L_FF`.
 
-use crate::checkpoint::{resume_chunks, Checkpoint};
+use crate::checkpoint::{resume, window_for};
 use crate::runner::{measure_instance, RunRecord};
 use crate::stats::{Figure, Series, SeriesPoint};
 use crate::workload::PaperWorkload;
-use serde::Deserialize;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Sweep configuration (defaults = the paper's settings).
@@ -114,80 +112,44 @@ pub fn sweep_checkpointed(
             cfg.crash_draws, cfg.utilization
         )
     };
-    let seeds_at = |gi: usize| -> Vec<u64> {
-        (0..cfg.graphs_per_point)
-            .map(|k| cfg.seed ^ (gi as u64) << 32 ^ (epsilon as u64) << 48 ^ k as u64)
-            .collect()
-    };
-    let expected: std::collections::HashSet<String> = cfg
+    let workloads: Vec<PaperWorkload> = cfg
         .granularities
         .iter()
-        .enumerate()
-        .flat_map(|(gi, &g)| seeds_at(gi).into_iter().map(move |s| keyed(g, s)))
-        .collect();
-    let mut replayed: HashMap<String, Vec<RunRecord>> = HashMap::new();
-    let mut ckpt = match journal {
-        Some(path) => Some(Checkpoint::open(path, |key, value| {
-            if !expected.contains(key) {
-                return false; // another sweep/config's records share the journal
-            }
-            match Vec::<RunRecord>::from_value(value) {
-                Ok(recs) => {
-                    replayed.insert(key.to_string(), recs);
-                    true
-                }
-                Err(_) => {
-                    eprintln!("warning: checkpoint: record {key} does not decode; recomputing");
-                    false
-                }
-            }
-        })?),
-        None => None,
-    };
-    let mut by_granularity = Vec::with_capacity(cfg.granularities.len());
-    for (gi, &g) in cfg.granularities.iter().enumerate() {
-        let wl = PaperWorkload {
+        .map(|&granularity| PaperWorkload {
             epsilon,
-            granularity: g,
+            granularity,
             utilization: cfg.utilization,
             ..Default::default()
-        };
-        let seeds = seeds_at(gi);
-        let mut fresh: HashMap<u64, Vec<RunRecord>> = HashMap::new();
-        resume_chunks(
-            &seeds,
-            cfg.threads,
-            window_for(cfg.threads),
-            &mut ckpt,
-            |s| keyed(g, *s),
-            |s| measure_instance(&wl, *s, crashes, cfg.crash_draws),
-            |s, recs| {
-                fresh.insert(*s, recs);
-            },
-        )?;
-        let recs: Vec<RunRecord> = seeds
-            .iter()
-            .flat_map(|s| {
-                fresh
-                    .remove(s)
-                    .or_else(|| replayed.remove(&keyed(g, *s)))
-                    .expect("every seed is fresh or replayed")
-            })
-            .collect();
-        by_granularity.push((g, recs));
-    }
+        })
+        .collect();
+    // Work items (granularity index, seed), granularity-major.
+    let n = cfg.graphs_per_point;
+    let seed =
+        |gi: usize, k: usize| cfg.seed ^ (gi as u64) << 32 ^ (epsilon as u64) << 48 ^ k as u64;
+    let items: Vec<(usize, u64)> = (0..workloads.len())
+        .flat_map(|gi| (0..n).map(move |k| (gi, seed(gi, k))))
+        .collect();
+    let mut results: Vec<Vec<RunRecord>> = vec![Vec::new(); items.len()];
+    resume(
+        journal,
+        &items,
+        cfg.threads,
+        window_for(cfg.threads),
+        |&(gi, seed)| keyed(cfg.granularities[gi], seed),
+        |&(gi, seed)| measure_instance(&workloads[gi], seed, crashes, cfg.crash_draws),
+        |i, recs| results[i] = recs,
+    )?;
+    let mut results = results.into_iter();
+    let by_granularity = cfg
+        .granularities
+        .iter()
+        .map(|&g| (g, results.by_ref().take(n).flatten().collect()))
+        .collect();
     Ok(SweepData {
         epsilon,
         crashes,
         by_granularity,
     })
-}
-
-/// Window of in-flight work items per [`resume_chunks`] call: enough to
-/// keep every worker busy, small enough to bound both memory and the
-/// work a kill can lose.
-pub fn window_for(threads: usize) -> usize {
-    (threads.max(1) * 4).max(16)
 }
 
 fn collect<'a>(recs: &'a [RunRecord], algo: &'a str) -> impl Iterator<Item = &'a RunRecord> + 'a {

@@ -6,12 +6,11 @@
 //! processor count `m`, replication degree `ε`) so the empirical growth
 //! can be compared with the bound.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::resume;
 use crate::workload::{gen_instance, PaperWorkload};
 use ltf_core::par::parallel_map;
 use ltf_core::{AlgoConfig, AlgoKind, PreparedInstance};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -129,7 +128,7 @@ pub fn scaling_sweep_checkpointed(
     // The key pins everything the point depends on (including the base
     // seed and the rep count): a journal shared across configurations
     // only ever replays records measured under identical parameters.
-    let keyed = |kind: AlgoKind, v: usize, m: usize, eps: u8| {
+    let keyed = |&(kind, v, m, eps): &(AlgoKind, usize, usize, u8)| {
         format!(
             "scaling:{kind}:v={v}:m={m}:eps={eps}:reps={}:seed={:#x}",
             cfg.reps, cfg.seed
@@ -147,45 +146,22 @@ pub fn scaling_sweep_checkpointed(
             combos.push((kind, 100, 20, eps));
         }
     }
-    let expected: std::collections::HashSet<String> = combos
-        .iter()
-        .map(|&(kind, v, m, eps)| keyed(kind, v, m, eps))
-        .collect();
-    let mut replayed: HashMap<String, ScalingPoint> = HashMap::new();
-    let mut ckpt = match journal {
-        Some(path) => Some(Checkpoint::open(path, |key, value| {
-            if !expected.contains(key) {
-                return false; // another sweep/config's records share the journal
-            }
-            match Deserialize::from_value(value) {
-                Ok(pt) => {
-                    replayed.insert(key.to_string(), pt);
-                    true
-                }
-                Err(_) => {
-                    eprintln!("warning: checkpoint: record {key} does not decode; re-measuring");
-                    false
-                }
-            }
-        })?),
-        None => None,
-    };
-    let mut out = Vec::with_capacity(combos.len());
-    for (kind, v, m, eps) in combos {
-        let key = keyed(kind, v, m, eps);
-        let pt = match replayed.remove(&key) {
-            Some(pt) => pt,
-            None => {
-                let pt = measure_point(v, m, eps, kind, cfg);
-                if let Some(c) = ckpt.as_mut() {
-                    c.record(&key, &pt)?;
-                }
-                pt
-            }
-        };
-        out.push(pt);
-    }
-    Ok(out)
+    // One point at a time, journalled as soon as it is measured: the reps
+    // inside a point are what runs on `cfg.threads` workers.
+    let mut out = vec![None; combos.len()];
+    resume(
+        journal,
+        &combos,
+        1,
+        1,
+        keyed,
+        |&(kind, v, m, eps)| measure_point(v, m, eps, kind, cfg),
+        |i, pt| out[i] = Some(pt),
+    )?;
+    Ok(out
+        .into_iter()
+        .map(|pt| pt.expect("every point is replayed or measured"))
+        .collect())
 }
 
 /// Render scaling points as an aligned text table.

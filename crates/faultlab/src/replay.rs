@@ -10,7 +10,7 @@
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::Schedule;
-use ltf_sim::{asap_trace, synchronous_trace, CrashTrace, RecoveryPolicy, SimReport, TraceConfig};
+use ltf_sim::{asap, synchronous, CrashTrace, RecoveryPolicy, SimReport, TraceConfig};
 
 /// Which executable semantics a cell is measured under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +61,8 @@ pub fn replay(
 ) -> SimReport {
     let tc = TraceConfig::new(cfg.items, trace, cfg.policy);
     match cfg.engine {
-        SimEngine::Synchronous => synchronous_trace(g, sched, &tc),
-        SimEngine::Asap => asap_trace(g, p, sched, &tc),
+        SimEngine::Synchronous => synchronous(g, sched, &tc),
+        SimEngine::Asap => asap(g, p, sched, &tc),
     }
 }
 

@@ -8,6 +8,8 @@ use ltf_baselines::full_solver;
 use ltf_graph::generate::fig1_diamond;
 use ltf_platform::Platform;
 use ltf_serve::{Service, ServiceConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Value};
 
 fn service() -> Service {
@@ -359,4 +361,81 @@ fn error_storm_leaves_service_healthy() {
     // One real solve, nine cache hits.
     assert_eq!(report.cache_misses, 1);
     assert_eq!(report.cache_hits, 9);
+}
+
+/// One seeded mutation of a golden request line: byte flips, a
+/// truncation, a splice of two lines, a number replaced by an edge case,
+/// or nesting wrappers up to 10^6 levels deep.
+fn mutate(corpus: &[&str], rng: &mut StdRng) -> String {
+    let pick = |rng: &mut StdRng| corpus[rng.gen_range(0..corpus.len())].as_bytes();
+    let mut line = pick(rng).to_vec();
+    match rng.gen_range(0..5) {
+        0 => {
+            for _ in 0..rng.gen_range(1..4) {
+                let i = rng.gen_range(0..line.len());
+                line[i] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+        }
+        1 => line.truncate(rng.gen_range(0..line.len())),
+        2 => {
+            let other = pick(rng);
+            line.truncate(rng.gen_range(0..line.len()));
+            line.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
+        }
+        3 => {
+            // The number tokens: a digit or '-' right after ':', '[' or ','.
+            let starts: Vec<usize> = (1..line.len())
+                .filter(|&i| b":[,".contains(&line[i - 1]))
+                .filter(|&i| line[i] == b'-' || line[i].is_ascii_digit())
+                .collect();
+            if !starts.is_empty() {
+                let i = starts[rng.gen_range(0..starts.len())];
+                let len = line[i..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit() || b"-+.eE".contains(b))
+                    .count();
+                let odd = ["1e400", "-0", "18446744073709551616"][rng.gen_range(0..3usize)];
+                line.splice(i..i + len, odd.bytes());
+            }
+        }
+        _ => {
+            let depth = [1, 127, 128, 129, 1000, 1_000_000][rng.gen_range(0..6usize)];
+            let (open, close) = [("[", "]"), (r#"{"a":"#, "}")][rng.gen_range(0..2usize)];
+            line = [
+                open.repeat(depth).as_bytes(),
+                &line,
+                close.repeat(depth).as_bytes(),
+            ]
+            .concat();
+        }
+    }
+    String::from_utf8_lossy(&line).into_owned()
+}
+
+/// A regression guard over the golden request corpus: seeded mutations,
+/// fed in batches, each get exactly one reply — a JSON object whose
+/// `status` is `ok` or `error` — and the service still answers afterwards.
+/// Nesting a line 10^6 levels deep used to overflow the parser's stack,
+/// which aborts the whole daemon.
+#[test]
+fn mutated_golden_requests_each_get_one_reply() {
+    let corpus: Vec<&str> = include_str!("golden/requests.jsonl").lines().collect();
+    assert_eq!(corpus.len(), 12);
+    let mut rng = StdRng::seed_from_u64(0xF0221);
+    let s = service();
+    for _ in 0..50 {
+        let batch: Vec<String> = (0..20).map(|_| mutate(&corpus, &mut rng)).collect();
+        let replies = s.handle_lines(&batch);
+        assert_eq!(replies.len(), batch.len());
+        for (line, reply) in batch.iter().zip(&replies) {
+            let (_, status, ..) = envelope(reply);
+            assert!(
+                status == "ok" || status == "error",
+                "{reply} for {:?}",
+                line.chars().take(300).collect::<String>()
+            );
+        }
+    }
+    let (_, status, ..) = envelope(&s.handle_line(r#"{"cmd":"heuristics"}"#));
+    assert_eq!(status, "ok");
 }

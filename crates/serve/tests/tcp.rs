@@ -1,8 +1,9 @@
 //! The TCP transport of the real `ltf-serve` binary: a plain client
 //! socket (Nagle on, delayed ACKs) gets its replies without a stall, a
 //! cache hit on one connection is answered while another connection's
-//! miss is still solving, and `{"cmd":"stats"}` counts the requests of
-//! every connection.
+//! miss is still solving, `{"cmd":"stats"}` counts the requests of every
+//! connection, and a line nested too deep to parse leaves the daemon
+//! serving.
 
 use ltf_graph::generate::{layered, LayeredConfig};
 use rand::rngs::StdRng;
@@ -193,4 +194,17 @@ fn hit_is_answered_while_another_connection_solves() {
     ] {
         assert!(stats.contains(&field), "{field} missing from {stats}");
     }
+}
+
+/// A line nested far deeper than a connection thread's stack is answered
+/// with a `parse` error instead of aborting the daemon, and the next
+/// connection is served.
+#[test]
+fn deep_nesting_is_a_parse_error_not_an_abort() {
+    let daemon = Daemon::start();
+    let reply = daemon.connect().call(&"[".repeat(1_000_000));
+    assert!(reply.contains(r#""kind":"parse""#), "{reply}");
+    assert!(reply.contains("nesting deeper than 128 levels"), "{reply}");
+    let reply = daemon.connect().call(&small(1));
+    assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
 }

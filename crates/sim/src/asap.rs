@@ -8,20 +8,21 @@
 //! (FIFO by readiness). Crashed processors finish nothing and send nothing
 //! from the crash time onward.
 //!
-//! Two entry points share the engine: [`asap`] replays the fixed-set crash
-//! model (all failures at one instant), [`asap_trace`] replays a sampled
-//! [`CrashTrace`] with per-processor crash times and an online
-//! [`RecoveryPolicy`]. When the platform models routed communication
-//! (`Contended`), trace replay additionally charges **link contention**: a
-//! message holds every physical link on its route for its whole transfer
-//! window, so transfers sharing a link serialize even between distinct
-//! port pairs — mirroring the placement engine's reservation discipline.
-//! Matrix and `Uniform`-mode platforms replay event-identically to the
-//! pre-routing engine. Under [`RecoveryPolicy::Reroute`], an in-edge whose
-//! scheduled sources have all died is re-routed mid-stream to a surviving
-//! replica of the predecessor task: re-route messages are injected into
-//! the event world at the real communication cost between the new
-//! processor pair and contend for ports like any scheduled message.
+//! [`asap`] replays a [`CrashTrace`] with per-processor crash times under
+//! an online [`RecoveryPolicy`]; the fixed-set crash model (all failures
+//! at one instant) is the trace [`CrashTrace::from_crash_set`] under
+//! [`RecoveryPolicy::FailStop`]. When the platform models routed
+//! communication (`Contended`), replay additionally charges **link
+//! contention**: a message holds every physical link on its route for its
+//! whole transfer window, so transfers sharing a link serialize even
+//! between distinct port pairs — mirroring the placement engine's
+//! reservation discipline. Matrix and `Uniform`-mode platforms replay
+//! event-identically to the pre-routing engine. Under
+//! [`RecoveryPolicy::Reroute`], an in-edge whose scheduled sources have
+//! all died is re-routed mid-stream to a surviving replica of the
+//! predecessor task: re-route messages are injected into the event world
+//! at the real communication cost between the new processor pair and
+//! contend for ports like any scheduled message.
 //!
 //! # Event order
 //!
@@ -66,34 +67,9 @@ use crate::fault::{CrashTrace, RecoveryPolicy, TraceConfig};
 use crate::report::SimReport;
 use ltf_graph::{EdgeId, TaskGraph};
 use ltf_platform::{Platform, ProcId};
-use ltf_schedule::{CrashSet, ReplicaId, Schedule};
+use ltf_schedule::{ReplicaId, Schedule};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Configuration for [`asap`].
-#[derive(Debug, Clone)]
-pub struct AsapConfig {
-    /// Number of stream items to push through the pipeline.
-    pub items: usize,
-    /// Optional crash injection: the processors and the time at which they
-    /// fail (use 0.0 for whole-run failures).
-    pub crash: Option<(CrashSet, f64)>,
-}
-
-impl AsapConfig {
-    /// Failure-free run over `items` data sets.
-    pub fn new(items: usize) -> Self {
-        Self { items, crash: None }
-    }
-
-    /// Crash `procs` at time `at`.
-    pub fn with_crash(items: usize, crash: CrashSet, at: f64) -> Self {
-        Self {
-            items,
-            crash: Some((crash, at)),
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
@@ -181,35 +157,20 @@ fn crash_key(trace: &CrashTrace, u: usize) -> f64 {
     trace.crash_time(u).abs()
 }
 
-/// Execute the schedule ASAP. Returns per-item latency measurements.
-///
-/// Panics if `items == 0`.
-pub fn asap(g: &TaskGraph, sched: &Schedule, cfg: &AsapConfig) -> SimReport {
-    let m = 1 + sched
-        .replicas()
-        .map(|r| sched.proc(r).index())
-        .max()
-        .unwrap_or(0);
-    let trace = match &cfg.crash {
-        Some((c, at)) => CrashTrace::from_crash_set(c, m, *at),
-        None => CrashTrace::never(m),
-    };
-    Runner::new(g, None, sched, cfg.items, &trace, RecoveryPolicy::FailStop).run()
-}
-
-/// Execute the schedule ASAP under a sampled crash trace and recovery
-/// policy. The platform prices re-route messages between processor pairs
-/// the schedule never planned a transfer for.
+/// Execute the schedule ASAP under a crash trace and recovery policy.
+/// Returns per-item latency measurements. The platform prices re-route
+/// messages between processor pairs the schedule never planned a transfer
+/// for, and routes messages over its links when it is `Contended`.
 ///
 /// Panics if `cfg.items == 0` or the trace covers fewer processors than
 /// the schedule uses.
-pub fn asap_trace(g: &TaskGraph, p: &Platform, sched: &Schedule, cfg: &TraceConfig) -> SimReport {
-    Runner::new(g, Some(p), sched, cfg.items, &cfg.trace, cfg.policy).run()
+pub fn asap(g: &TaskGraph, p: &Platform, sched: &Schedule, cfg: &TraceConfig) -> SimReport {
+    Runner::new(g, p, sched, cfg.items, &cfg.trace, cfg.policy).run()
 }
 
 struct Runner<'a> {
     g: &'a TaskGraph,
-    platform: Option<&'a Platform>,
+    platform: &'a Platform,
     sched: &'a Schedule,
     trace: &'a CrashTrace,
     policy: RecoveryPolicy,
@@ -267,7 +228,7 @@ struct Runner<'a> {
 impl<'a> Runner<'a> {
     fn new(
         g: &'a TaskGraph,
-        platform: Option<&'a Platform>,
+        platform: &'a Platform,
         sched: &'a Schedule,
         items: usize,
         trace: &'a CrashTrace,
@@ -396,7 +357,7 @@ impl<'a> Runner<'a> {
             proc_free: vec![0.0; m],
             send_free: vec![0.0; m],
             recv_free: vec![0.0; m],
-            link_free: vec![0.0; platform.map_or(0, |p| p.num_links())],
+            link_free: vec![0.0; platform.num_links()],
             heap: BinaryHeap::new(),
             fifo: VecDeque::new(),
             admit: Admissions {
@@ -524,10 +485,9 @@ impl<'a> Runner<'a> {
             return;
         }
         let vol = self.g.edge(EdgeId(edge)).volume;
-        let p = self
+        let dur = self
             .platform
-            .expect("re-route policy requires a platform for message pricing");
-        let dur = p.comm_time(vol, ProcId(src_proc as u16), ProcId(dst_proc as u16));
+            .comm_time(vol, ProcId(src_proc as u16), ProcId(dst_proc as u16));
         let mi = self.msgs.len() as u32;
         self.msgs.push(Msg {
             dst_rep: dst as u32,
@@ -575,8 +535,7 @@ impl<'a> Runner<'a> {
     fn run(mut self) -> SimReport {
         // Crash events drive the re-route scan; without re-routing they
         // would be pure no-ops, so they are only scheduled under the
-        // policy that uses them (keeping fixed-set runs event-identical to
-        // the pre-trace engine).
+        // policy that uses them.
         if self.policy == RecoveryPolicy::Reroute {
             for u in 0..self.proc_free.len() {
                 if self.trace.crash_time(u).is_finite() {
@@ -659,15 +618,16 @@ impl<'a> Runner<'a> {
         // Routed platforms: the transfer also waits for — and then holds —
         // every physical link on its route (circuit-style, like the
         // placement engine's reservations).
-        let route = match self.platform {
-            Some(p) if !self.link_free.is_empty() => {
-                let route = p.route(ProcId(h as u16), ProcId(u as u16));
-                for &l in route {
-                    start = start.max(self.link_free[l.index()]);
-                }
-                route
+        // `link_free` is empty unless the platform is routed, which spares
+        // matrix platforms a `route` call per message.
+        let route = if self.link_free.is_empty() {
+            &[]
+        } else {
+            let route = self.platform.route(ProcId(h as u16), ProcId(u as u16));
+            for &l in route {
+                start = start.max(self.link_free[l.index()]);
             }
-            _ => &[],
+            route
         };
         if self.crashed(h, start) {
             // Sender dead before transmission.
@@ -770,6 +730,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::fixed;
     use ltf_schedule::{CommEvent, ScheduleData, SourceChoice};
 
     fn sample() -> (TaskGraph, Platform, Schedule) {
@@ -858,8 +819,8 @@ mod tests {
 
     #[test]
     fn asap_latency_at_most_synchronous() {
-        let (g, _, s) = sample();
-        let rep = asap(&g, &s, &AsapConfig::new(4));
+        let (g, p, s) = sample();
+        let rep = asap(&g, &p, &s, &fixed(4, &[], 0.0));
         assert_eq!(rep.produced(), 4);
         // First item: t0 done at 4, msg 4..7, t1 done at 9 -> latency 9,
         // well under the synchronous 30.
@@ -871,8 +832,8 @@ mod tests {
 
     #[test]
     fn asap_steady_state_period_respected() {
-        let (g, _, s) = sample();
-        let rep = asap(&g, &s, &AsapConfig::new(20));
+        let (g, p, s) = sample();
+        let rep = asap(&g, &p, &s, &fixed(20, &[], 0.0));
         // Period 10 is far above the bottleneck load (4): completions are
         // period-spaced.
         let p = rep.achieved_period().unwrap();
@@ -881,9 +842,8 @@ mod tests {
 
     #[test]
     fn crash_from_start_uses_surviving_lane() {
-        let (g, _, s) = sample();
-        let crash = CrashSet::from_procs(&[ProcId(2)], 4);
-        let rep = asap(&g, &s, &AsapConfig::with_crash(4, crash, 0.0));
+        let (g, p, s) = sample();
+        let rep = asap(&g, &p, &s, &fixed(4, &[2], 0.0));
         assert_eq!(rep.produced(), 4);
         // Lane 1 (P2 -> P4) still delivers every item at the same times.
         assert_eq!(rep.item_latency[0], Some(9.0));
@@ -891,49 +851,31 @@ mod tests {
 
     #[test]
     fn mid_stream_crash_loses_late_items_when_both_lanes_cut() {
-        let (g, _, s) = sample();
-        let crash = CrashSet::from_procs(&[ProcId(2), ProcId(3)], 4);
+        let (g, p, s) = sample();
         // Both exit hosts die at t=25: items completing before that
         // survive, later ones are lost.
-        let rep = asap(&g, &s, &AsapConfig::with_crash(6, crash, 25.0));
+        let rep = asap(&g, &p, &s, &fixed(6, &[2, 3], 25.0));
         assert!(rep.produced() >= 2, "early items survive");
         assert!(rep.lost() >= 2, "late items lost");
     }
 
     #[test]
     fn double_crash_from_start_loses_all() {
-        let (g, _, s) = sample();
-        let crash = CrashSet::from_procs(&[ProcId(2), ProcId(3)], 4);
-        let rep = asap(&g, &s, &AsapConfig::with_crash(3, crash, 0.0));
+        let (g, p, s) = sample();
+        let rep = asap(&g, &p, &s, &fixed(3, &[2, 3], 0.0));
         assert_eq!(rep.produced(), 0);
     }
 
     #[test]
     fn trace_never_matches_failure_free() {
+        // Nothing fails, so re-routing has nothing to do.
         let (g, p, s) = sample();
-        let base = asap(&g, &s, &AsapConfig::new(8));
-        for policy in [RecoveryPolicy::FailStop, RecoveryPolicy::Reroute] {
-            let cfg = TraceConfig::new(8, CrashTrace::never(4), policy);
-            let rep = asap_trace(&g, &p, &s, &cfg);
-            assert_eq!(rep.item_latency, base.item_latency);
-            assert_eq!(rep.item_completion, base.item_completion);
-            assert_eq!(rep.makespan.to_bits(), base.makespan.to_bits());
-        }
-    }
-
-    #[test]
-    fn trace_fixed_set_matches_fail_stop_crash_injection() {
-        let (g, p, s) = sample();
-        let crash = CrashSet::from_procs(&[ProcId(2), ProcId(3)], 4);
-        let base = asap(&g, &s, &AsapConfig::with_crash(6, crash.clone(), 25.0));
-        let cfg = TraceConfig::new(
-            6,
-            CrashTrace::from_crash_set(&crash, 4, 25.0),
-            RecoveryPolicy::FailStop,
-        );
-        let rep = asap_trace(&g, &p, &s, &cfg);
+        let base = asap(&g, &p, &s, &fixed(8, &[], 0.0));
+        let cfg = TraceConfig::new(8, CrashTrace::never(4), RecoveryPolicy::Reroute);
+        let rep = asap(&g, &p, &s, &cfg);
         assert_eq!(rep.item_latency, base.item_latency);
         assert_eq!(rep.item_completion, base.item_completion);
+        assert_eq!(rep.makespan.to_bits(), base.makespan.to_bits());
     }
 
     #[test]
@@ -946,13 +888,13 @@ mod tests {
         // P2's t1 host (P4... ProcId(3)) too, leaving only the crossed
         // path t0^2 (P2) -> re-route -> t1^1 (P3).
         let trace = CrashTrace::from_crash_times(vec![15.0, f64::INFINITY, f64::INFINITY, 15.0]);
-        let failstop = asap_trace(
+        let failstop = asap(
             &g,
             &p,
             &s,
             &TraceConfig::new(8, trace.clone(), RecoveryPolicy::FailStop),
         );
-        let reroute = asap_trace(
+        let reroute = asap(
             &g,
             &p,
             &s,
@@ -975,14 +917,11 @@ mod tests {
         // Matrix platform: ports are free, both transfers run 4..7 and both
         // sinks finish at 9.
         let (g, flat, s) = two_pipelines(false);
-        assert_eq!(asap_trace(&g, &flat, &s, &cfg).item_latency[0], Some(9.0));
+        assert_eq!(asap(&g, &flat, &s, &cfg).item_latency[0], Some(9.0));
         // Contended platform: the second transfer waits for the shared
         // middle link (7..10), so its sink finishes at 12.
         let (g, routed, s) = two_pipelines(true);
-        assert_eq!(
-            asap_trace(&g, &routed, &s, &cfg).item_latency[0],
-            Some(12.0)
-        );
+        assert_eq!(asap(&g, &routed, &s, &cfg).item_latency[0], Some(12.0));
     }
 
     /// Replays `crash_at` under `policy` and checks the report bit for bit
@@ -995,7 +934,7 @@ mod tests {
         (latency, completion, makespan): &Want,
     ) {
         let trace = CrashTrace::from_crash_times(crash_at.to_vec());
-        let rep = asap_trace(g, p, s, &TraceConfig::new(latency.len(), trace, policy));
+        let rep = asap(g, p, s, &TraceConfig::new(latency.len(), trace, policy));
         let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
             v.iter().map(|t| t.map(f64::to_bits)).collect()
         };
@@ -1180,7 +1119,7 @@ mod tests {
         let (g, p, s) = sample();
         // Both exit hosts die: no amount of re-routing produces outputs.
         let trace = CrashTrace::from_crash_times(vec![f64::INFINITY, f64::INFINITY, 5.0, 5.0]);
-        let rep = asap_trace(
+        let rep = asap(
             &g,
             &p,
             &s,

@@ -1,12 +1,12 @@
 //! Crash traces and online recovery policies.
 //!
-//! The fixed [`CrashSet`] injection of the original simulators answers the
-//! paper's worst-case question — "does the schedule survive these ε
-//! processors failing?". Stochastic failure campaigns ask a different one:
-//! *when* processors fail at sampled times, what do the latency and loss
-//! distributions look like? A [`CrashTrace`] carries one sampled answer per
-//! processor (the absolute time its host dies, `+∞` for "never"), and a
-//! [`RecoveryPolicy`] chooses what the runtime does about it:
+//! A fixed [`CrashSet`] answers the paper's worst-case question — "does
+//! the schedule survive these ε processors failing?". Stochastic failure
+//! campaigns ask a different one: *when* processors fail at sampled
+//! times, what do the latency and loss distributions look like? A
+//! [`CrashTrace`] carries one sampled answer per processor (the absolute
+//! time its host dies, `+∞` for "never"), and a [`RecoveryPolicy`] chooses
+//! what the runtime does about it:
 //!
 //! * [`RecoveryPolicy::FailStop`] — the paper's model: consumers only ever
 //!   read from their scheduled source replicas; a dead lane stays dead.
@@ -15,9 +15,9 @@
 //!   fetch to any surviving replica of the predecessor task mid-stream
 //!   (paying the real communication cost between the new endpoints).
 //!
-//! Both simulators accept a [`TraceConfig`]; with an all-`+∞` trace they
-//! reproduce their failure-free behavior exactly, and with all-zero crash
-//! times they reproduce the fixed-`CrashSet` behavior.
+//! Both simulators take a [`TraceConfig`]. An all-`+∞` trace is a
+//! failure-free run, and [`CrashTrace::from_crash_set`] turns the paper's
+//! fixed [`CrashSet`] into the trace in which its members fail together.
 
 use ltf_platform::ProcId;
 use ltf_schedule::CrashSet;
@@ -72,9 +72,9 @@ impl CrashTrace {
         self.crash_at[u]
     }
 
-    /// Whether processor `u` is dead strictly after `time` — the same
-    /// convention as the fixed-set simulators (`time > crash_at`): work
-    /// completing exactly at the crash instant still counts.
+    /// Whether processor `u` is dead strictly after `time`
+    /// (`time > crash_at`): work completing exactly at the crash instant
+    /// still counts.
     pub fn crashed(&self, u: usize, time: f64) -> bool {
         time > self.crash_at[u]
     }
@@ -97,8 +97,8 @@ pub enum RecoveryPolicy {
     Reroute,
 }
 
-/// Configuration for the trace-replay entry points
-/// ([`crate::synchronous_trace`], [`crate::asap_trace`]).
+/// Configuration for the simulators ([`crate::synchronous()`],
+/// [`crate::asap()`]).
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Number of stream items to push through the pipeline.
@@ -118,6 +118,15 @@ impl TraceConfig {
             policy,
         }
     }
+}
+
+/// The fixed-set crash model over 4 processors, as the unit tests use it:
+/// `procs` (none when empty) fail at `at`, under fail-stop.
+#[cfg(test)]
+pub(crate) fn fixed(items: usize, procs: &[u16], at: f64) -> TraceConfig {
+    let procs: Vec<ProcId> = procs.iter().map(|&u| ProcId(u)).collect();
+    let trace = CrashTrace::from_crash_set(&CrashSet::from_procs(&procs, 4), 4, at);
+    TraceConfig::new(items, trace, RecoveryPolicy::FailStop)
 }
 
 #[cfg(test)]

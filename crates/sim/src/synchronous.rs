@@ -4,84 +4,35 @@ use crate::fault::{RecoveryPolicy, TraceConfig};
 use crate::report::SimReport;
 use ltf_graph::TaskGraph;
 use ltf_schedule::stages::latency_for_stages;
-use ltf_schedule::{failures, CrashSet, ReplicaId, Schedule, SourceChoice};
-
-/// Configuration for [`synchronous`].
-#[derive(Debug, Clone)]
-pub struct SynchronousConfig {
-    /// Number of stream items to push through the pipeline.
-    pub items: usize,
-    /// Processors that are crashed for the whole run (fail-silent from the
-    /// start; use the ASAP simulator for mid-stream crashes).
-    pub crash: Option<CrashSet>,
-}
-
-impl SynchronousConfig {
-    /// Failure-free run over `items` data sets.
-    pub fn new(items: usize) -> Self {
-        Self { items, crash: None }
-    }
-
-    /// Run with the given crash set active from time 0.
-    pub fn with_crash(items: usize, crash: CrashSet) -> Self {
-        Self {
-            items,
-            crash: Some(crash),
-        }
-    }
-}
-
-/// Execute the schedule under the stage-synchronous discipline: item `k` is
-/// computed by stage-`s` replicas during window `k + 2(s−1)` (each window
-/// lasting `Δ`) and shipped during window `k + 2s − 1`. With the crash set
-/// fixed for the whole run every item sees the same effective stage count,
-/// so every item's latency is [`failures::effective_latency`],
-/// `(2·S_eff − 1)·Δ`, and item `k` completes at `k·Δ + L`. Capacity per
-/// window is guaranteed by the schedule's throughput constraints
-/// (`Σ_u, C^I_u, C^O_u ≤ Δ`), which the validator checks separately.
-pub fn synchronous(g: &TaskGraph, sched: &Schedule, cfg: &SynchronousConfig) -> SimReport {
-    let latency = match &cfg.crash {
-        Some(crash) => failures::effective_latency(g, sched, crash),
-        None => {
-            let m = sched.replicas().map(|r| sched.proc(r).index() + 1).max();
-            failures::effective_latency(g, sched, &CrashSet::empty(m.unwrap_or(1)))
-        }
-    };
-    let period = sched.period();
-    let item_completion: Vec<Option<f64>> = (0..cfg.items)
-        .map(|k| latency.map(|l| k as f64 * period + l))
-        .collect();
-    SimReport {
-        item_latency: vec![latency; cfg.items],
-        makespan: item_completion.last().copied().flatten().unwrap_or(0.0),
-        item_completion,
-    }
-}
+use ltf_schedule::{ReplicaId, Schedule, SourceChoice};
 
 /// Execute the schedule under the stage-synchronous discipline while a
-/// sampled [`crate::CrashTrace`] kills processors at their own times.
+/// [`crate::CrashTrace`] kills processors at their own times.
 ///
-/// The window model makes "when does a crash hit item `k`?" precise: a
-/// stage-`s` replica computes item `k` in window `k + 2(s−1)` (ending at
-/// `(k + 2s − 1)·Δ`) and ships it in window `k + 2s − 1` (ending at
-/// `(k + 2s)·Δ`). A replica therefore produces item `k` only if its host
-/// survives through its compute window, and a *remote* source is usable
-/// only if it also survives through its ship window — work completing
-/// exactly at the crash instant still counts, matching the fixed-set
-/// convention. Stages are re-derived per item along the topological
-/// order, so the effective stage (and hence the latency `(2S−1)·Δ`)
-/// degrades item by item as the trace unfolds.
+/// A stage-`s` replica computes item `k` in window `k + 2(s−1)` (each
+/// window lasting `Δ`, so it ends at `(k + 2s − 1)·Δ`) and ships it in
+/// window `k + 2s − 1` (ending at `(k + 2s)·Δ`); the schedule's throughput
+/// constraints (`Σ_u, C^I_u, C^O_u ≤ Δ`, which the validator checks) give
+/// every window the capacity. A replica therefore produces item `k` only
+/// if its host survives through its compute window, and a *remote* source
+/// is usable only if it also survives through its ship window — work
+/// completing exactly at the crash instant still counts. Stages are
+/// re-derived per item along the topological order, so the effective
+/// stage (and hence the latency `(2S−1)·Δ`) degrades item by item as the
+/// trace unfolds.
 ///
 /// Under [`RecoveryPolicy::Reroute`], an in-edge whose scheduled sources
 /// are all unusable for an item falls back to the best usable replica of
 /// the predecessor task (the online re-route, expressed in window terms);
-/// under [`RecoveryPolicy::FailStop`] the consumer starves, exactly as in
-/// the fixed-set analysis [`failures::effective_latency`] with the crashed
-/// set of that window.
+/// under [`RecoveryPolicy::FailStop`] the consumer starves.
 ///
-/// With an all-`+∞` trace this reproduces [`synchronous`]'s failure-free
-/// output; with all-zero crash times it reproduces the fixed-set run.
-pub fn synchronous_trace(g: &TaskGraph, sched: &Schedule, cfg: &TraceConfig) -> SimReport {
+/// A fixed crash set is the trace [`crate::CrashTrace::from_crash_set`]
+/// failing at time 0 under fail-stop. Every item then sees the same
+/// effective stage count, so every item's latency is
+/// [`ltf_schedule::failures::effective_latency`], `(2·S_eff − 1)·Δ`, and
+/// item `k` completes at `k·Δ + L`; an all-`+∞` trace gives the
+/// failure-free latency the same way.
+pub fn synchronous(g: &TaskGraph, sched: &Schedule, cfg: &TraceConfig) -> SimReport {
     let nrep = sched.replicas_per_task();
     let n_rep = g.num_tasks() * nrep;
     let period = sched.period();
@@ -202,7 +153,7 @@ pub fn synchronous_trace(g: &TaskGraph, sched: &Schedule, cfg: &TraceConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::CrashTrace;
+    use crate::fault::{fixed, CrashTrace};
     use ltf_platform::{Platform, ProcId};
     use ltf_schedule::{CommEvent, ScheduleData};
 
@@ -259,7 +210,7 @@ mod tests {
     #[test]
     fn no_crash_matches_formula() {
         let (g, s) = sample();
-        let rep = synchronous(&g, &s, &SynchronousConfig::new(5));
+        let rep = synchronous(&g, &s, &fixed(5, &[], 0.0));
         assert_eq!(rep.produced(), 5);
         // S = 2, Δ = 10 -> L = 30 for every item.
         for l in &rep.item_latency {
@@ -273,8 +224,7 @@ mod tests {
     #[test]
     fn single_crash_keeps_all_items() {
         let (g, s) = sample();
-        let crash = CrashSet::from_procs(&[ProcId(0)], 4);
-        let rep = synchronous(&g, &s, &SynchronousConfig::with_crash(5, crash));
+        let rep = synchronous(&g, &s, &fixed(5, &[0], 0.0));
         assert_eq!(rep.produced(), 5);
         assert_eq!(rep.item_latency[0], Some(30.0)); // surviving lane has S=2
     }
@@ -283,40 +233,10 @@ mod tests {
     fn double_crash_loses_everything() {
         let (g, s) = sample();
         // Kill both exit hosts.
-        let crash = CrashSet::from_procs(&[ProcId(2), ProcId(3)], 4);
-        let rep = synchronous(&g, &s, &SynchronousConfig::with_crash(3, crash));
+        let rep = synchronous(&g, &s, &fixed(3, &[2, 3], 0.0));
         assert_eq!(rep.produced(), 0);
         assert_eq!(rep.lost(), 3);
         assert_eq!(rep.mean_latency(), None);
-    }
-
-    #[test]
-    fn trace_never_matches_failure_free() {
-        let (g, s) = sample();
-        let base = synchronous(&g, &s, &SynchronousConfig::new(5));
-        for policy in [RecoveryPolicy::FailStop, RecoveryPolicy::Reroute] {
-            let cfg = TraceConfig::new(5, CrashTrace::never(4), policy);
-            let rep = synchronous_trace(&g, &s, &cfg);
-            assert_eq!(rep.item_latency, base.item_latency);
-            assert_eq!(rep.item_completion, base.item_completion);
-        }
-    }
-
-    #[test]
-    fn trace_all_zero_matches_fixed_set() {
-        let (g, s) = sample();
-        for procs in [vec![ProcId(0)], vec![ProcId(2)], vec![ProcId(2), ProcId(3)]] {
-            let set = CrashSet::from_procs(&procs, 4);
-            let base = synchronous(&g, &s, &SynchronousConfig::with_crash(5, set.clone()));
-            let cfg = TraceConfig::new(
-                5,
-                CrashTrace::from_crash_set(&set, 4, 0.0),
-                RecoveryPolicy::FailStop,
-            );
-            let rep = synchronous_trace(&g, &s, &cfg);
-            assert_eq!(rep.item_latency, base.item_latency, "procs {procs:?}");
-            assert_eq!(rep.item_completion, base.item_completion);
-        }
     }
 
     #[test]
@@ -330,7 +250,7 @@ mod tests {
         // i.e. k ≤ 5, survive.
         let trace = CrashTrace::from_crash_times(vec![f64::INFINITY, f64::INFINITY, 45.0, 85.0]);
         let cfg = TraceConfig::new(10, trace, RecoveryPolicy::FailStop);
-        let rep = synchronous_trace(&g, &s, &cfg);
+        let rep = synchronous(&g, &s, &cfg);
         for k in 0..=5 {
             assert_eq!(rep.item_latency[k], Some(30.0), "item {k}");
         }
@@ -346,14 +266,13 @@ mod tests {
         // the start: fail-stop loses everything (each lane is half dead),
         // re-route crosses the lanes (t0^2 on P2 feeds t1^1 on P3).
         let trace = CrashTrace::from_crash_times(vec![0.0, f64::INFINITY, f64::INFINITY, 0.0]);
-        let failstop = synchronous_trace(
+        let failstop = synchronous(
             &g,
             &s,
             &TraceConfig::new(4, trace.clone(), RecoveryPolicy::FailStop),
         );
         assert_eq!(failstop.produced(), 0);
-        let reroute =
-            synchronous_trace(&g, &s, &TraceConfig::new(4, trace, RecoveryPolicy::Reroute));
+        let reroute = synchronous(&g, &s, &TraceConfig::new(4, trace, RecoveryPolicy::Reroute));
         assert_eq!(reroute.produced(), 4);
         // The crossed path hops processors at every edge: stage 2, L = 30.
         assert_eq!(reroute.item_latency[0], Some(30.0));

@@ -10,7 +10,7 @@ use ltf_sched::core::{AlgoConfig, Solver};
 use ltf_sched::graph::{GraphBuilder, TaskGraph};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{validate, CrashSet};
-use ltf_sched::sim::{asap, synchronous, AsapConfig, SynchronousConfig};
+use ltf_sched::sim::{asap, synchronous, CrashTrace, RecoveryPolicy, TraceConfig};
 
 /// Decode → {object detection, optical flow, color histogram} → tracker →
 /// {annotate, index} → mux. Times in milliseconds per frame (exec) and
@@ -59,14 +59,15 @@ fn main() {
     println!("{}", sched.describe(&g, &p));
 
     // Execute 300 frames (10 s of video).
-    let run = synchronous(&g, &sched, &SynchronousConfig::new(300));
+    let never = TraceConfig::new(300, CrashTrace::never(m), RecoveryPolicy::FailStop);
+    let run = synchronous(&g, &sched, &never);
     println!(
         "synchronous model : {} frames, per-frame latency {:.1} ms, period {:.1} ms",
         run.produced(),
         run.mean_latency().unwrap(),
         run.achieved_period().unwrap()
     );
-    let run = asap(&g, &sched, &AsapConfig::new(300));
+    let run = asap(&g, &p, &sched, &never);
     println!(
         "ASAP execution    : {} frames, mean latency {:.1} ms (max {:.1} ms)",
         run.produced(),
@@ -79,8 +80,13 @@ fn main() {
         .procs()
         .max_by(|a, b| sched.sigma(*a).partial_cmp(&sched.sigma(*b)).unwrap())
         .unwrap();
-    let crash = CrashSet::from_procs(&[victim], m);
-    let run = asap(&g, &sched, &AsapConfig::with_crash(300, crash, 3000.0));
+    let crash = CrashTrace::from_crash_set(&CrashSet::from_procs(&[victim], m), m, 3000.0);
+    let run = asap(
+        &g,
+        &p,
+        &sched,
+        &TraceConfig::new(300, crash, RecoveryPolicy::FailStop),
+    );
     println!(
         "crash drill       : {victim} dies at t=3000 ms → {} frames delivered, {} lost, mean latency {:.1} ms",
         run.produced(),

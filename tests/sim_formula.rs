@@ -6,10 +6,7 @@ use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
 use ltf_sched::graph::generate::{layered, LayeredConfig};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{failures, CrashSet};
-use ltf_sched::sim::{
-    asap, synchronous, synchronous_trace, AsapConfig, CrashTrace, RecoveryPolicy, SimReport,
-    SynchronousConfig, TraceConfig,
-};
+use ltf_sched::sim::{asap, synchronous, CrashTrace, RecoveryPolicy, SimReport, TraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,10 +40,9 @@ fn assert_closed_form(run: &SimReport, want: Option<f64>, period: f64, what: &st
 
 #[test]
 fn synchronous_simulation_equals_effective_latency() {
-    // The trace engine re-derives stages item by item, independently of
-    // `failures`: with a never-failing trace and with a fixed crash set
-    // failing at time 0 it must reproduce the closed form bit for bit, and
-    // so must the fixed-set `synchronous` run.
+    // The synchronous replay re-derives stages item by item, independently
+    // of `failures`: with a never-failing trace and with a fixed crash set
+    // failing at time 0 it must reproduce the closed form bit for bit.
     let m = 10;
     let items = 5;
     let p = Platform::homogeneous(m, 1.0, 0.2);
@@ -67,11 +63,9 @@ fn synchronous_simulation_equals_effective_latency() {
                 let l0 = failures::effective_latency(&g, &s, &CrashSet::empty(m));
                 assert!(l0.is_some_and(|l| l <= s.latency_upper_bound() + 1e-9));
                 let what = format!("seed {seed} {kind} ε={eps}");
-                let run = synchronous(&g, &s, &SynchronousConfig::new(items));
-                assert_closed_form(&run, l0, period, &what);
                 for policy in [RecoveryPolicy::FailStop, RecoveryPolicy::Reroute] {
                     let never = TraceConfig::new(items, CrashTrace::never(m), policy);
-                    let run = synchronous_trace(&g, &s, &never);
+                    let run = synchronous(&g, &s, &never);
                     assert_closed_form(&run, l0, period, &format!("{what} never {policy:?}"));
                 }
 
@@ -87,9 +81,7 @@ fn synchronous_simulation_equals_effective_latency() {
                         CrashTrace::from_crash_set(&crash, m, 0.0),
                         RecoveryPolicy::FailStop,
                     );
-                    assert_closed_form(&synchronous_trace(&g, &s, &trace), want, period, &what);
-                    let fixed = SynchronousConfig::with_crash(items, crash);
-                    assert_closed_form(&synchronous(&g, &s, &fixed), want, period, &what);
+                    assert_closed_form(&synchronous(&g, &s, &trace), want, period, &what);
                 }
             }
         }
@@ -111,8 +103,9 @@ fn asap_never_slower_than_synchronous() {
             continue;
         };
         let items = 12;
-        let sync = synchronous(&g, &s, &SynchronousConfig::new(items));
-        let fast = asap(&g, &s, &AsapConfig::new(items));
+        let never = TraceConfig::new(items, CrashTrace::never(m), RecoveryPolicy::FailStop);
+        let sync = synchronous(&g, &s, &never);
+        let fast = asap(&g, &p, &s, &never);
         assert_eq!(fast.produced(), items);
         for (a, b) in fast.item_latency.iter().zip(&sync.item_latency) {
             assert!(
@@ -133,7 +126,8 @@ fn asap_sustains_the_period() {
         .heuristic()
         .schedule(&PreparedInstance::new(&g, &p), &cfg)
         .expect("feasible");
-    let run = asap(&g, &s, &AsapConfig::new(60));
+    let never = TraceConfig::new(60, CrashTrace::never(m), RecoveryPolicy::FailStop);
+    let run = asap(&g, &p, &s, &never);
     assert_eq!(run.produced(), 60);
     // Throughput keeps up with the admission rate in steady state.
     let period = run.achieved_period().unwrap();
@@ -154,7 +148,13 @@ fn asap_single_crash_from_start_loses_nothing() {
         .schedule(&PreparedInstance::new(&g, &p), &cfg)
         .expect("feasible");
     for crash in failures::all_crash_sets(m, 1) {
-        let run = asap(&g, &s, &AsapConfig::with_crash(8, crash, 0.0));
+        let trace = CrashTrace::from_crash_set(&crash, m, 0.0);
+        let run = asap(
+            &g,
+            &p,
+            &s,
+            &TraceConfig::new(8, trace, RecoveryPolicy::FailStop),
+        );
         assert_eq!(run.produced(), 8, "a single crash must be masked");
     }
 }
