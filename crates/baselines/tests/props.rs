@@ -172,3 +172,27 @@ fn no_alias_shadows_another_canonical_name() {
         }
     }
 }
+
+/// Only the paper's heuristics report a period window: the baselines keep
+/// period logic of their own (whole-mapping load checks), so a search
+/// solves them at every probed period.
+#[test]
+fn only_the_builtin_heuristics_report_a_period_window() {
+    let g = ltf_graph::generate::fig1_diamond();
+    let p = Platform::fig1_platform();
+    let prep = ltf_core::PreparedInstance::new(&g, &p);
+    let cfg = ltf_core::AlgoConfig::new(0, 40.0);
+    for h in FULL {
+        let (verdict, window) = h.schedule_windowed(&prep, &cfg);
+        let builtin = BUILTIN.iter().any(|b| b.name() == h.name());
+        assert_eq!(window.is_some(), builtin, "{}", h.name());
+        assert_eq!(
+            verdict.ok().map(|s| s.to_data()),
+            h.schedule(&prep, &cfg).ok().map(|s| s.to_data())
+        );
+    }
+    let (_, window) = lookup(&FULL, "heft")
+        .unwrap()
+        .schedule_windowed(&prep, &cfg);
+    assert!(window.is_none());
+}

@@ -24,6 +24,10 @@
 //!   small sample counts. Entries lacking `min_ns` fall back to the
 //!   median.
 //!
+//! When both files record the core count of their machine (`"cores"`)
+//! and the counts differ, the gate says so before its table: the
+//! parallel rows scale with it.
+//!
 //! Exit codes: 0 all within tolerance, 1 regression (or baseline entry
 //! missing from the current run), 2 usage/IO error or an entry that does
 //! not decode. Benchmarks present only in the current run warn and are
@@ -32,7 +36,7 @@
 //! unit-tested).
 
 use ltf_bench::gate::{compare, GateOptions, Verdict};
-use ltf_bench::{parse_bench_json, BenchEntry};
+use ltf_bench::{parse_bench_json, BenchRun};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bench-gate <current.json> <baseline.json> \
@@ -73,10 +77,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let read = |p: &str| -> Option<Vec<BenchEntry>> {
+    let read = |p: &str| -> Option<BenchRun> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
         match text.and_then(|t| parse_bench_json(&t).map_err(|e| format!("{p}: {e}"))) {
-            Ok(entries) => Some(entries),
+            Ok(run) => Some(run),
             Err(e) => {
                 eprintln!("bench-gate: {e}");
                 None
@@ -89,12 +93,19 @@ fn main() -> ExitCode {
     let Some(baseline) = read(baseline_path) else {
         return ExitCode::from(2);
     };
-    if baseline.is_empty() {
+    if baseline.entries.is_empty() {
         eprintln!("bench-gate: no entries parsed from baseline {baseline_path}");
         return ExitCode::from(2);
     }
+    // Parallel rows scale with the core count, so say when the two runs
+    // come from machines of different widths.
+    if let (Some(now), Some(then)) = (current.cores, baseline.cores) {
+        if now != then {
+            println!("cores: current run on {now}, baseline recorded on {then}");
+        }
+    }
 
-    let report = compare(&current, &baseline, &opts);
+    let report = compare(&current.entries, &baseline.entries, &opts);
     let stat_name = if opts.use_min { "min" } else { "median" };
     if opts.normalize {
         println!(
@@ -137,7 +148,7 @@ fn main() -> ExitCode {
     } else {
         println!(
             "bench-gate: ok — all {} baseline benchmarks within {:.0}%",
-            baseline.len(),
+            baseline.entries.len(),
             opts.tolerance * 100.0
         );
         ExitCode::SUCCESS

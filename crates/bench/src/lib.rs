@@ -71,7 +71,19 @@ struct RawEntry {
 struct BenchDoc {
     #[allow(dead_code)]
     schema: Option<String>,
+    /// Cores of the machine that ran the benches; absent in documents
+    /// written before the shim recorded it.
+    cores: Option<u64>,
     entries: Vec<RawEntry>,
+}
+
+/// A decoded bench document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRun {
+    /// Cores of the machine that ran the benches, when recorded.
+    pub cores: Option<u64>,
+    /// The benchmark entries, in file order.
+    pub entries: Vec<BenchEntry>,
 }
 
 /// Decode a `{"schema": ..., "entries": [{"name": ..., "median_ns": ...}]}`
@@ -85,13 +97,14 @@ struct BenchDoc {
 /// and doc-testable.
 ///
 /// ```
-/// let doc = r#"{"entries": [{"name": "g/A/1", "median_ns": 42.0}]}"#;
-/// let entries = ltf_bench::parse_bench_json(doc).unwrap();
-/// assert_eq!(entries[0].name, "g/A/1");
-/// assert_eq!(entries[0].median_ns, 42.0);
-/// assert_eq!(entries[0].min_ns, None);
+/// let doc = r#"{"cores": 2, "entries": [{"name": "g/A/1", "median_ns": 42.0}]}"#;
+/// let run = ltf_bench::parse_bench_json(doc).unwrap();
+/// assert_eq!(run.cores, Some(2));
+/// assert_eq!(run.entries[0].name, "g/A/1");
+/// assert_eq!(run.entries[0].median_ns, 42.0);
+/// assert_eq!(run.entries[0].min_ns, None);
 /// ```
-pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
+pub fn parse_bench_json(text: &str) -> Result<BenchRun, String> {
     let doc: BenchDoc = serde_json::from_str(text).map_err(|e| e.to_string())?;
     for e in &doc.entries {
         for (field, v) in [("median_ns", Some(e.median_ns)), ("min_ns", e.min_ns)] {
@@ -103,7 +116,7 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
             }
         }
     }
-    Ok(doc
+    let entries = doc
         .entries
         .into_iter()
         .map(|e| BenchEntry {
@@ -111,7 +124,11 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
             median_ns: e.median_ns,
             min_ns: e.min_ns,
         })
-        .collect())
+        .collect();
+    Ok(BenchRun {
+        cores: doc.cores,
+        entries,
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +144,9 @@ mod tests {
     {"name": "scaling_tasks/R-LTF/50", "median_ns": 4505392.0, "min_ns": 4025046.0, "max_ns": 4940126.0}
   ]
 }"#;
-        let entries = parse_bench_json(doc).unwrap();
+        let run = parse_bench_json(doc).unwrap();
+        assert_eq!(run.cores, None);
+        let entries = run.entries;
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].name, "scaling_tasks/LTF/50");
         assert_eq!(entries[0].median_ns, 1437331.3);
@@ -140,16 +159,18 @@ mod tests {
         let doc = r#"{"entries": [
             {"pre_pr_median_ns": 9.0, "name": "a/b", "median_ns": 1.5e3}
         ]}"#;
-        let entries = parse_bench_json(doc).unwrap();
+        let entries = parse_bench_json(doc).unwrap().entries;
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].name, "a/b");
         assert_eq!(entries[0].median_ns, 1500.0);
         assert_eq!(entries[0].min_ns, None);
-        // The committed baselines carry `max_ns` and `pre_pr_median_ns`.
-        for file in ["BENCH_scaling.json", "BENCH_pareto.json"] {
+        // The committed baselines carry `max_ns` and `pre_pr_median_ns`;
+        // the pareto one also records its machine's core count.
+        for (file, cores) in [("BENCH_scaling.json", None), ("BENCH_pareto.json", Some(2))] {
             let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-            let entries = parse_bench_json(&std::fs::read_to_string(path).unwrap()).unwrap();
-            assert!(entries.iter().all(|e| e.min_ns.is_some()), "{file}");
+            let run = parse_bench_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert!(run.entries.iter().all(|e| e.min_ns.is_some()), "{file}");
+            assert_eq!(run.cores, cores, "{file}");
         }
     }
 
@@ -158,7 +179,14 @@ mod tests {
     /// does not decode) — the gate never skips a baseline row.
     #[test]
     fn empty_and_garbage_inputs() {
-        assert_eq!(parse_bench_json(r#"{"entries": []}"#), Ok(vec![]));
+        assert_eq!(
+            parse_bench_json(r#"{"entries": []}"#),
+            Ok(BenchRun {
+                cores: None,
+                entries: vec![]
+            })
+        );
+        assert!(parse_bench_json(r#"{"cores": "2", "entries": []}"#).is_err());
         assert!(parse_bench_json("").is_err());
         assert!(parse_bench_json(r#""name": truncated"#).is_err());
         let cases = [

@@ -9,6 +9,7 @@ use crate::convert;
 use crate::driver::{self, Policy};
 use crate::engine::Engine;
 use crate::prio::LevelCache;
+use crate::solver::Windowed;
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::Schedule;
@@ -19,43 +20,36 @@ use std::sync::OnceLock;
 /// with the one-to-one replication procedure and minimum-finish-time
 /// processor selection, under the throughput constraint `T = 1/cfg.period`
 /// and fault-tolerance degree `cfg.epsilon`.
-pub(crate) fn ltf_cached(
-    inst: &PreparedInstance<'_>,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    inst.check(cfg)?;
+///
+/// The run's [`PeriodWindow`](crate::PeriodWindow) comes back with the
+/// verdict; a config that fails [`PreparedInstance::check`] never reaches
+/// the engine and has none.
+pub(crate) fn ltf_cached(inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
+    if let Err(e) = inst.check(cfg) {
+        return (Err(e), None);
+    }
     let (g, p) = (inst.graph(), inst.platform());
     let mut engine = Engine::new(g, p, cfg);
-    driver::run(&mut engine, cfg, Policy::Ltf, inst.levels_forward())?;
-    Ok(convert::forward_schedule(
-        engine,
-        g,
-        p,
-        cfg.epsilon,
-        cfg.period,
-    ))
+    let (verdict, window) = driver::run(&mut engine, cfg, Policy::Ltf, inst.levels_forward());
+    let sched = verdict.map(|()| convert::forward_schedule(engine, g, p, cfg.epsilon, cfg.period));
+    (sched, Some(window))
 }
 
 /// The **R-LTF** algorithm (paper §4.2) over a prepared instance, reusing
 /// its reversed graph, level cache and reversal slot table: bottom-up
 /// traversal guided by Rule 1 (never grow the pipeline stage count when
 /// avoidable) and Rule 2 (one-to-one replica spreading on linear chain
-/// sections), minimizing the pipeline latency `L = (2S − 1)/T`.
-pub(crate) fn rltf_cached(
-    inst: &PreparedInstance<'_>,
-    cfg: &AlgoConfig,
-) -> Result<Schedule, ScheduleError> {
-    inst.check(cfg)?;
+/// sections), minimizing the pipeline latency `L = (2S − 1)/T`. Returns
+/// the run's window like [`ltf_cached`].
+pub(crate) fn rltf_cached(inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
+    if let Err(e) = inst.check(cfg) {
+        return (Err(e), None);
+    }
     let (g, p) = (inst.graph(), inst.platform());
     let mut engine = Engine::new_reversed(inst.reversed(), g, inst.reversal(), p, cfg);
-    driver::run(&mut engine, cfg, Policy::Rltf, inst.levels_reversed())?;
-    Ok(convert::reversed_schedule(
-        engine,
-        g,
-        p,
-        cfg.epsilon,
-        cfg.period,
-    ))
+    let (verdict, window) = driver::run(&mut engine, cfg, Policy::Rltf, inst.levels_reversed());
+    let sched = verdict.map(|()| convert::reversed_schedule(engine, g, p, cfg.epsilon, cfg.period));
+    (sched, Some(window))
 }
 
 /// A `(graph, platform)` pair with the period-independent derivations —

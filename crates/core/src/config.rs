@@ -1,7 +1,8 @@
-//! Algorithm configuration and errors.
+//! Algorithm configuration, errors and the period window of a run.
 
 use ltf_graph::TaskId;
 use ltf_platform::ProcId;
+use ltf_schedule::EPS;
 use serde::{Deserialize, Serialize};
 
 /// Configuration shared by LTF and R-LTF.
@@ -147,6 +148,72 @@ impl std::fmt::Display for ScheduleError {
 }
 
 impl std::error::Error for ScheduleError {}
+
+/// The periods at which one LTF/R-LTF run makes exactly the same
+/// decisions.
+///
+/// The period `Δ` enters a run only through condition (1)'s checks, each
+/// of the form `v > Δ + EPS`: the compute load `σ_u + w`, the output and
+/// input port loads `C^O`/`C^I` and, on a contended platform, each route
+/// link's load. The window keeps the largest checked value that passed
+/// and the smallest that failed. A run at any `Δ'` the window
+/// [admits](Self::admits) takes every one of those comparisons the same
+/// way, so it repeats the recorded run step for step: the same verdict,
+/// and the same schedule apart from its stored period.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeriodWindow {
+    pass_max: f64,
+    fail_min: f64,
+}
+
+impl Default for PeriodWindow {
+    /// No check recorded yet: every period is admitted.
+    fn default() -> Self {
+        Self {
+            pass_max: f64::NEG_INFINITY,
+            fail_min: f64::INFINITY,
+        }
+    }
+}
+
+impl PeriodWindow {
+    /// Condition (1)'s period check, `value > period + EPS`, with its
+    /// outcome recorded. Every period comparison of a run goes through
+    /// here, so the window sees all of them.
+    #[inline]
+    pub(crate) fn exceeds(&mut self, value: f64, period: f64) -> bool {
+        let over = value > period + EPS;
+        if over {
+            self.fail_min = self.fail_min.min(value);
+        } else {
+            self.pass_max = self.pass_max.max(value);
+        }
+        over
+    }
+
+    /// Whether a run at `period` takes every recorded comparison the way
+    /// the recorded run did: no passed value exceeds `period + EPS` and
+    /// every failed one still does. The float expression is the engine's
+    /// own, so the answer is exact.
+    // A check passes when `!(v > Δ + EPS)`; the negation is spelled the
+    // engine's way on purpose.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn admits(&self, period: f64) -> bool {
+        !(self.pass_max > period + EPS) && self.fail_min > period + EPS
+    }
+
+    /// Largest checked value that passed (`−∞` when none did).
+    #[cfg(test)]
+    pub(crate) fn pass_max(&self) -> f64 {
+        self.pass_max
+    }
+
+    /// Smallest checked value that failed (`+∞` when none did).
+    #[cfg(test)]
+    pub(crate) fn fail_min(&self) -> f64 {
+        self.fail_min
+    }
+}
 
 /// Which of the paper's two heuristics to run (used by the searches and
 /// the experiment harness).

@@ -71,7 +71,7 @@
 //!   Rule 2 breaks stage ties towards one-to-one spreading on linear chain
 //!   sections, and remaining ties go to the earlier aggregate finish time.
 
-use crate::config::{AlgoConfig, ScheduleError};
+use crate::config::{AlgoConfig, PeriodWindow, ScheduleError};
 use crate::engine::{Engine, PlanBuf, ProbeBuf, ProbeWorkspace, ProcMask, ReplicaSet};
 use crate::prio::{LevelCache, PrioTracker};
 use ltf_graph::traversal::ReadyTracker;
@@ -151,12 +151,28 @@ impl ProbeScratch {
     }
 }
 
-/// Run the chunked mapping loop to completion.
+/// Run the chunked mapping loop to completion. The verdict comes back
+/// with the run's [`PeriodWindow`] on both exits, so an infeasible run is
+/// as reusable as a feasible one. `TooFewProcessors` fires before any
+/// probe, so its window is unbounded: that verdict ignores the period.
 pub(crate) fn run(
     engine: &mut Engine<'_>,
     cfg: &AlgoConfig,
     policy: Policy,
     cache: &LevelCache,
+) -> (Result<(), ScheduleError>, PeriodWindow) {
+    let mut scratch = ProbeScratch::new();
+    let verdict = map_all(engine, cfg, policy, cache, &mut scratch);
+    (verdict, scratch.place.ws.window())
+}
+
+/// The mapping loop behind [`run`], drawing every buffer from `scratch`.
+fn map_all(
+    engine: &mut Engine<'_>,
+    cfg: &AlgoConfig,
+    policy: Policy,
+    cache: &LevelCache,
+    scratch: &mut ProbeScratch,
 ) -> Result<(), ScheduleError> {
     let g = engine.g;
     let p = engine.p;
@@ -174,7 +190,6 @@ pub(crate) fn run(
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut tracker = ReadyTracker::new(g);
-    let mut scratch = ProbeScratch::new();
     let mut alpha: Vec<TaskId> = g.entries().to_vec();
     let chunk_cap = cfg.chunk_size.unwrap_or(p.num_procs()).max(1);
 
@@ -766,7 +781,7 @@ mod tests {
         let mut engine = Engine::new_reversed(&rev, &g, &slots, &p, &cfg);
         let n = engine.num_replicas();
 
-        let (allocs, res) = measure(|| run(&mut engine, &cfg, Policy::Rltf, &cache));
+        let (allocs, (res, _)) = measure(|| run(&mut engine, &cfg, Policy::Rltf, &cache));
         res.unwrap();
         assert!(engine.all_placed());
         assert!(

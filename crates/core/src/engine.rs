@@ -52,7 +52,7 @@
 //! Copies commit in ascending order, so each slot's source list is sorted
 //! by construction — bit-identical to the batch transposition it replaces.
 
-use crate::config::AlgoConfig;
+use crate::config::{AlgoConfig, PeriodWindow};
 use ltf_graph::{EdgeId, TaskGraph, TaskId};
 use ltf_platform::{Platform, ProcId};
 use ltf_schedule::intervals::{earliest_common_fit, BusyTimeline};
@@ -283,6 +283,9 @@ pub(crate) struct ProbeWorkspace {
     /// Slot indices of the current message's route links (cleared per
     /// message, capacity retained).
     route_slots: Vec<usize>,
+    /// Every period comparison of every probe made through this workspace
+    /// (one run's worth: the driver owns one workspace per run).
+    window: PeriodWindow,
 }
 
 /// Tentative reservations on one touched source processor's send port.
@@ -304,6 +307,11 @@ struct LinkSlot {
 }
 
 impl ProbeWorkspace {
+    /// The period window of the probes made so far.
+    pub fn window(&self) -> PeriodWindow {
+        self.window
+    }
+
     /// Index of the slot for `proc`, reusing retired slots before growing.
     fn send_slot(&mut self, proc: usize) -> usize {
         for i in 0..self.send_len {
@@ -656,6 +664,8 @@ impl<'a> Engine<'a> {
     /// the outcome into `out`. Returns `false` when condition (1) — the
     /// throughput constraint — would be violated. Does not mutate the
     /// engine, and performs no heap allocation once `ws`/`out` are warm.
+    /// These four checks are the only place the period enters a run; each
+    /// goes through [`PeriodWindow::exceeds`], which records it in `ws`.
     ///
     /// Port contention is evaluated against overlays of the committed
     /// timelines; no per-candidate `IntervalSet` clone takes place.
@@ -670,7 +680,7 @@ impl<'a> Engine<'a> {
         let st = &self.state;
         let ui = u.index();
         let exec = self.p.exec_time(self.g.exec(t), u);
-        if st.sigma[ui] + exec > self.period + EPS {
+        if ws.window.exceeds(st.sigma[ui] + exec, self.period) {
             return false;
         }
 
@@ -783,13 +793,16 @@ impl<'a> Engine<'a> {
                 ls.load += dur;
                 // Link capacity: total traffic over a physical link must
                 // fit the period, like the endpoint IO loads.
-                if st.lload[ls.link] + ls.load > self.period + EPS {
+                if ws.window.exceeds(st.lload[ls.link] + ls.load, self.period) {
                     return false;
                 }
             }
             cin_add += dur;
             ws.send[slot].load += dur;
-            if st.cout[hi] + ws.send[slot].load > self.period + EPS {
+            if ws
+                .window
+                .exceeds(st.cout[hi] + ws.send[slot].load, self.period)
+            {
                 return false;
             }
             out.planned.push(PlannedComm {
@@ -801,7 +814,7 @@ impl<'a> Engine<'a> {
             });
             ready = ready.max(start + dur);
         }
-        if st.cin[ui] + cin_add > self.period + EPS {
+        if ws.window.exceeds(st.cin[ui] + cin_add, self.period) {
             return false;
         }
 

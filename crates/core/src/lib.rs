@@ -68,10 +68,10 @@ pub mod solver;
 pub mod stats;
 
 pub use crate::api::{schedule_with_reference, PreparedInstance};
-pub use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
+pub use crate::config::{AlgoConfig, AlgoKind, PeriodWindow, ScheduleError};
 pub use crate::engine::MAX_PROCS;
 pub use crate::prio::LevelCache;
 pub use crate::solver::{
     lookup, Diagnostics, FaultFree, Heuristic, Ltf, Rltf, Solution, SolutionMetrics, Solver,
-    BUILTIN,
+    Windowed, BUILTIN,
 };

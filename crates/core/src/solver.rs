@@ -8,8 +8,10 @@
 //!
 //! * [`Heuristic`] — one mapping strategy: a name plus
 //!   `schedule(&PreparedInstance, &AlgoConfig) -> Result<Schedule, _>`.
-//!   [`Ltf`], [`Rltf`] and [`FaultFree`] implement it here; the
-//!   `ltf-baselines` crate implements it for the comparison strategies.
+//!   [`Ltf`], [`Rltf`] and [`FaultFree`] implement it here, and also
+//!   report the [`PeriodWindow`] their runs hold in
+//!   ([`Heuristic::schedule_windowed`]); the `ltf-baselines` crate
+//!   implements it for the comparison strategies.
 //! * [`Solver`] — a session owning a [`PreparedInstance`] (the reversed
 //!   graph and level caches are derived lazily, once) over a static
 //!   registry table of heuristics addressable by name ([`BUILTIN`] here,
@@ -34,7 +36,7 @@
 //! ```
 
 use crate::api::{self, PreparedInstance};
-use crate::config::{AlgoConfig, AlgoKind, ScheduleError};
+use crate::config::{AlgoConfig, AlgoKind, PeriodWindow, ScheduleError};
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::Schedule;
@@ -64,7 +66,25 @@ pub trait Heuristic: Send + Sync {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError>;
+
+    /// [`Heuristic::schedule`], plus the [`PeriodWindow`] the run's
+    /// decisions hold in. Searches that probe one instance at many periods
+    /// reuse a windowed verdict for every period the window admits.
+    ///
+    /// Contract: return a window only when `cfg.period` enters the run
+    /// solely through the comparisons recorded in it. A run at any admitted
+    /// period must then reproduce this verdict, and this schedule apart
+    /// from its period. The default returns no window, so a strategy with
+    /// period logic of its own, or a wrapper that re-solves, is solved at
+    /// every probed period.
+    fn schedule_windowed(&self, inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
+        (self.schedule(inst, cfg), None)
+    }
 }
+
+/// A verdict with the [`PeriodWindow`] it holds in, if the heuristic
+/// reports one ([`Heuristic::schedule_windowed`]).
+pub type Windowed = (Result<Schedule, ScheduleError>, Option<PeriodWindow>);
 
 /// **LTF** (paper §4.1): forward chunked traversal by priority `tℓ + bℓ`,
 /// one-to-one replica mapping while singleton processors remain,
@@ -82,6 +102,10 @@ impl Heuristic for Ltf {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        api::ltf_cached(inst, cfg).0
+    }
+
+    fn schedule_windowed(&self, inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
         api::ltf_cached(inst, cfg)
     }
 }
@@ -107,6 +131,10 @@ impl Heuristic for Rltf {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        api::rltf_cached(inst, cfg).0
+    }
+
+    fn schedule_windowed(&self, inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
         api::rltf_cached(inst, cfg)
     }
 }
@@ -133,6 +161,11 @@ impl Heuristic for FaultFree {
         inst: &PreparedInstance<'_>,
         cfg: &AlgoConfig,
     ) -> Result<Schedule, ScheduleError> {
+        self.schedule_windowed(inst, cfg).0
+    }
+
+    /// R-LTF's window: the period reaches the ε = 0 run unchanged.
+    fn schedule_windowed(&self, inst: &PreparedInstance<'_>, cfg: &AlgoConfig) -> Windowed {
         let mut cfg = cfg.clone();
         cfg.epsilon = 0;
         api::rltf_cached(inst, &cfg)

@@ -219,6 +219,21 @@ impl Schedule {
         }
     }
 
+    /// The same placements, timings and sources at another period `Δ'`.
+    /// Stages and loads do not depend on the period, so they carry over;
+    /// everything derived from `Δ` (latency bound, throughput,
+    /// utilization) follows the new value.
+    ///
+    /// # Panics
+    /// If `period` is not finite and positive.
+    pub fn with_period(&self, period: f64) -> Self {
+        assert!(period.is_finite() && period > 0.0, "bad period");
+        Self {
+            period,
+            ..self.clone()
+        }
+    }
+
     /// Extract the raw [`ScheduleData`] this schedule was built from —
     /// the inverse of [`Schedule::new`], used to put a schedule on the
     /// wire. Derived state (stages, loads) is dropped and recomputed by

@@ -70,6 +70,21 @@ pub struct ServiceConfig {
     pub max_edges: usize,
 }
 
+impl ServiceConfig {
+    /// Longest request line the transports buffer, in bytes. Sized from
+    /// the graph limits: 256 bytes per task or edge is several times
+    /// what a wire task (`{"exec":…}`) or edge (`{"src":…,"dst":…,
+    /// "volume":…}`) takes at full float precision, and 1 MiB covers the
+    /// platform (a 128 × 128 delay matrix is about 0.3 MiB) and the
+    /// request envelope. At the defaults:
+    /// 256 × (10,000 + 100,000) + 1 MiB ≈ 29 MB.
+    pub fn line_limit(&self) -> usize {
+        256usize
+            .saturating_mul(self.max_tasks.saturating_add(self.max_edges))
+            .saturating_add(1 << 20)
+    }
+}
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
@@ -222,6 +237,25 @@ impl Service {
     /// (tests, introspection).
     pub fn cached_keys(&self) -> Vec<CacheKey> {
         self.shared().cache.keys_lru_first().cloned().collect()
+    }
+
+    /// Longest request line the transports accept
+    /// ([`ServiceConfig::line_limit`]).
+    pub fn line_limit(&self) -> usize {
+        self.config.line_limit()
+    }
+
+    /// The reply to a line over [`Service::line_limit`]: one `too-large`
+    /// error with no `id` (the line was never parsed), counted like any
+    /// other error.
+    pub fn reject_long_line(&self) -> String {
+        self.shared().stats.record_error("too-large", 0);
+        to_line(&ErrResponse::new(
+            None,
+            "too-large",
+            None,
+            format!("request line exceeds {} bytes", self.line_limit()),
+        ))
     }
 
     /// Answer one request line. Never panics on malformed input; every

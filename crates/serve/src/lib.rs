@@ -12,6 +12,7 @@
 //! * [`engine`] — the [`Service`]: batched, serially equivalent request
 //!   handling over the `ltf_core::par` pool, shareable between threads,
 //! * [`tcp`] — the TCP accept loop, one thread per connection,
+//! * [`lines`] — the bounded request-line reader of both transports,
 //! * [`cache`] — the [`LruCache`] and instance fingerprints,
 //! * [`stats`] — service-time percentiles and outcome counters.
 //!
@@ -35,6 +36,7 @@
 
 pub mod cache;
 pub mod engine;
+pub mod lines;
 pub mod proto;
 pub mod stats;
 pub mod tcp;

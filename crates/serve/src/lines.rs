@@ -1,0 +1,168 @@
+//! The bounded request-line reader both transports use.
+//!
+//! `BufRead::lines()` buffers a whole line before anyone looks at it, so
+//! one endless line grows the daemon's memory without limit. [`Lines`]
+//! splits and strips lines exactly as `lines()` does, but stops buffering
+//! once a line passes its byte limit: the rest of that line is read and
+//! dropped up to the next newline, and the caller gets one
+//! [`Line::TooLong`] to answer in its place.
+
+use std::io::{self, BufRead, Read};
+
+/// One line of input.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Line {
+    /// A line within the limit, without its `\n` or `\r\n`.
+    Text(String),
+    /// A line longer than the limit; its bytes were discarded.
+    TooLong,
+}
+
+/// Iterator over the lines of a reader, each at most `limit` bytes before
+/// its newline (a `\r` ending a `\r\n` counts).
+pub struct Lines<R> {
+    inner: R,
+    limit: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// Read `inner` line by line, rejecting lines over `limit` bytes.
+    pub fn new(inner: R, limit: usize) -> Self {
+        Self { inner, limit }
+    }
+
+    /// The next line, or `None` at end of input. Invalid UTF-8 is an
+    /// `InvalidData` error, as with `lines()`.
+    fn read(&mut self) -> io::Result<Option<Line>> {
+        let mut buf = Vec::new();
+        // A line that fits is at most `limit` bytes plus its newline, so
+        // reading one byte more than that tells the two cases apart.
+        let cap = (self.limit as u64).saturating_add(1);
+        if (&mut self.inner).take(cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(None);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > self.limit {
+            self.skip_line()?;
+            return Ok(Some(Line::TooLong));
+        }
+        String::from_utf8(buf)
+            .map(|s| Some(Line::Text(s)))
+            .map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })
+    }
+
+    /// Drop the input up to and including the next newline, a buffer at a
+    /// time, without keeping any of it.
+    fn skip_line(&mut self) -> io::Result<()> {
+        loop {
+            let chunk = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    self.inner.consume(i + 1);
+                    return Ok(());
+                }
+                None => {
+                    let n = chunk.len();
+                    self.inner.consume(n);
+                }
+            }
+        }
+    }
+}
+
+impl<R: BufRead> Iterator for Lines<R> {
+    type Item = io::Result<Line>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.read().transpose()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufReader;
+
+    fn lines(input: &[u8], limit: usize) -> Vec<Line> {
+        Lines::new(input, limit).map(Result::unwrap).collect()
+    }
+
+    fn text(s: &str) -> Line {
+        Line::Text(s.to_string())
+    }
+
+    #[test]
+    fn strips_newlines_like_std_lines() {
+        let input = b"a\nbb\r\n\nc\r\rd\r";
+        let std: Vec<Line> = input.lines().map(|l| Line::Text(l.unwrap())).collect();
+        assert_eq!(lines(input, 64), std);
+        assert_eq!(
+            lines(input, 64),
+            [text("a"), text("bb"), text(""), text("c\r\rd\r")]
+        );
+        assert!(lines(b"", 64).is_empty());
+    }
+
+    #[test]
+    fn the_limit_is_inclusive() {
+        assert_eq!(
+            lines(b"abcd\nabcde\nxy", 4),
+            [text("abcd"), Line::TooLong, text("xy")]
+        );
+        // A CRLF line's `\r` counts toward the limit.
+        assert_eq!(lines(b"abc\r\nabcd\r\n", 4), [text("abc"), Line::TooLong]);
+        // An over-long last line without a newline is still one reply.
+        assert_eq!(lines(b"ok\nabcdefgh", 4), [text("ok"), Line::TooLong]);
+    }
+
+    /// Hands out at most three bytes per read, so lines arrive split
+    /// across reads (and an over-long one across many).
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(3);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn lines_split_across_reads_still_work() {
+        let input = b"abcde\r\nabcdefghijkl\nxyz\nabcdef\n";
+        let got: Vec<Line> = Lines::new(BufReader::with_capacity(2, Trickle(input)), 6)
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(
+            got,
+            [text("abcde"), Line::TooLong, text("xyz"), text("abcdef")]
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        let mut it = Lines::new(&b"\xff\nok\n"[..], 64);
+        assert_eq!(
+            it.next().unwrap().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(it.next().unwrap().unwrap(), text("ok"));
+    }
+}

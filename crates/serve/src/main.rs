@@ -22,9 +22,10 @@
 //! stdout stream stays golden-diffable).
 
 use ltf_experiments::take;
+use ltf_serve::lines::{Line, Lines};
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::process::exit;
 
 #[derive(Debug, Clone)]
@@ -115,25 +116,29 @@ fn serve_pipe(service: &Service, opts: &Opts) {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut batch = Vec::with_capacity(opts.batch);
-    let mut flush = |batch: &mut Vec<String>| {
-        for resp in service.handle_lines(batch) {
+    // Answers the batch, then `tail` (the reply to an over-long line,
+    // which must follow the lines read before it).
+    let mut flush = |batch: &mut Vec<String>, tail: Option<String>| {
+        for resp in service.handle_lines(batch).into_iter().chain(tail) {
             writeln!(out, "{resp}").expect("stdout");
         }
         out.flush().expect("stdout");
         batch.clear();
     };
-    for line in stdin.lock().lines() {
-        let line = line.expect("stdin");
-        if line.trim().is_empty() {
-            continue;
-        }
-        batch.push(line);
-        if batch.len() >= opts.batch {
-            flush(&mut batch);
+    for line in Lines::new(stdin.lock(), service.line_limit()) {
+        match line.expect("stdin") {
+            Line::Text(line) if line.trim().is_empty() => {}
+            Line::Text(line) => {
+                batch.push(line);
+                if batch.len() >= opts.batch {
+                    flush(&mut batch, None);
+                }
+            }
+            Line::TooLong => flush(&mut batch, Some(service.reject_long_line())),
         }
     }
     if !batch.is_empty() {
-        flush(&mut batch);
+        flush(&mut batch, None);
     }
     if opts.stats {
         eprintln!("{}", to_line(&service.stats_report()));

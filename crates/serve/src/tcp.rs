@@ -3,8 +3,9 @@
 //! [`Service`] — its cache and counters — and solve in parallel (see the
 //! engine's concurrency notes).
 
+use crate::lines::{Line, Lines};
 use crate::Service;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
 /// Accept connections on `listener` and serve each on its own thread,
@@ -34,15 +35,16 @@ pub fn serve(listener: &TcpListener, service: &Service) {
 /// newline in one write, and Nagle is off: with Nagle on, a short segment
 /// waits until the peer acknowledges the previous one, and a peer that
 /// delays its ACK (~40 ms on Linux) stalls every reply ending in one.
+/// A line over [`Service::line_limit`] gets one `too-large` reply.
 fn answer(service: &Service, stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut out = stream;
-    for line in BufReader::new(stream).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut reply = service.handle_line(&line);
+    for line in Lines::new(BufReader::new(stream), service.line_limit()) {
+        let mut reply = match line? {
+            Line::Text(line) if line.trim().is_empty() => continue,
+            Line::Text(line) => service.handle_line(&line),
+            Line::TooLong => service.reject_long_line(),
+        };
         reply.push('\n');
         out.write_all(reply.as_bytes())?;
     }

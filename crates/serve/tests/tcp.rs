@@ -2,8 +2,8 @@
 //! socket (Nagle on, delayed ACKs) gets its replies without a stall, a
 //! cache hit on one connection is answered while another connection's
 //! miss is still solving, `{"cmd":"stats"}` counts the requests of every
-//! connection, and a line nested too deep to parse leaves the daemon
-//! serving.
+//! connection, and a line nested too deep to parse or too long to buffer
+//! leaves the daemon serving.
 
 use ltf_graph::generate::{layered, LayeredConfig};
 use rand::rngs::StdRng;
@@ -23,8 +23,14 @@ struct Daemon {
 
 impl Daemon {
     fn start() -> Self {
+        Self::start_with(&[])
+    }
+
+    /// A daemon with extra command-line flags.
+    fn start_with(flags: &[&str]) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
             .args(["--listen", "127.0.0.1:0"])
+            .args(flags)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -205,6 +211,32 @@ fn deep_nesting_is_a_parse_error_not_an_abort() {
     let reply = daemon.connect().call(&"[".repeat(1_000_000));
     assert!(reply.contains(r#""kind":"parse""#), "{reply}");
     assert!(reply.contains("nesting deeper than 128 levels"), "{reply}");
+    let reply = daemon.connect().call(&small(1));
+    assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
+}
+
+#[test]
+fn over_long_line_is_too_large_and_the_daemon_keeps_serving() {
+    // Two tasks and one edge (enough for `small`) put the line limit at
+    // 256 × 3 bytes + 1 MiB.
+    let daemon = Daemon::start_with(&["--max-tasks", "2", "--max-edges", "1"]);
+    let mut conn = daemon.connect();
+    conn.send(&format!(
+        "{}\n{}",
+        "x".repeat(2 << 20),
+        r#"{"cmd":"heuristics"}"#
+    ));
+    let reply = conn.recv();
+    assert!(
+        reply.starts_with(r#"{"id":null,"status":"error","kind":"too-large""#),
+        "{reply}"
+    );
+    assert!(
+        reply.contains("request line exceeds 1049344 bytes"),
+        "{reply}"
+    );
+    let reply = conn.recv();
+    assert!(reply.starts_with(r#"{"status":"ok""#), "{reply}");
     let reply = daemon.connect().call(&small(1));
     assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
 }
