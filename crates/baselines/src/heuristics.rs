@@ -2,7 +2,7 @@
 //! [`Schedule`]-emitting entry of the [`FULL`] registry table.
 //!
 //! The legacy entry points of this crate return strategy-specific outcome
-//! types ([`MakespanSchedule`], [`crate::TaskParallelOutcome`],
+//! types ([`crate::MakespanSchedule`], [`crate::TaskParallelOutcome`],
 //! [`crate::DataParallelOutcome`]); the adapters here
 //! project each strategy into the pipelined single-item schedule model so
 //! it can be dispatched, validated, simulated and searched over exactly
@@ -41,14 +41,14 @@
 //! assert_eq!(sol.metrics.epsilon, 1);
 //! ```
 
-use crate::makespan::{self, MakespanSchedule};
+use crate::makespan::{self, lanes_schedule};
 use crate::throughput_first;
 use ltf_core::{
     AlgoConfig, FaultFree, Heuristic, Ltf, PreparedInstance, Rltf, ScheduleError, Solver,
 };
 use ltf_graph::TaskGraph;
 use ltf_platform::{Platform, ProcId};
-use ltf_schedule::{CommEvent, ReplicaId, Schedule, ScheduleData, SourceChoice, EPS};
+use ltf_schedule::{Schedule, EPS};
 
 /// Reject replication for single-copy strategies.
 fn require_epsilon_zero(strategy: &str, cfg: &AlgoConfig) -> Result<(), ScheduleError> {
@@ -74,64 +74,6 @@ fn check_condition1(p: &Platform, sched: Schedule) -> Result<Schedule, ScheduleE
         }
     }
     Ok(sched)
-}
-
-/// Combine per-lane makespan schedules (disjoint processor sets, lane `k`
-/// hosting copy `k` of every task) into one replicated schedule. A single
-/// lane is the ε = 0 projection of one makespan schedule.
-fn lanes_schedule(
-    g: &TaskGraph,
-    p: &Platform,
-    lane_schedules: &[MakespanSchedule],
-    period: f64,
-) -> Schedule {
-    let nrep = lane_schedules.len();
-    let epsilon = (nrep - 1) as u8;
-    let v = g.num_tasks();
-    let n = v * nrep;
-    let mut proc_of = vec![ProcId(0); n];
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    let mut sources: Vec<Vec<SourceChoice>> = vec![Vec::new(); n];
-    let mut comm_events = Vec::new();
-    for (k, ls) in lane_schedules.iter().enumerate() {
-        for t in g.tasks() {
-            let r = ReplicaId::new(t, k as u8).dense(nrep);
-            proc_of[r] = ls.proc_of[t.index()];
-            start[r] = ls.start[t.index()];
-            finish[r] = ls.finish[t.index()];
-            sources[r] = g
-                .pred_edges(t)
-                .iter()
-                .map(|&e| SourceChoice::one(e, k as u8))
-                .collect();
-        }
-        for c in &ls.comms {
-            let e = g.edge(c.edge);
-            comm_events.push(CommEvent {
-                edge: c.edge,
-                src: ReplicaId::new(e.src, k as u8),
-                dst: ReplicaId::new(e.dst, k as u8),
-                src_proc: ls.proc_of[e.src.index()],
-                dst_proc: ls.proc_of[e.dst.index()],
-                start: c.start,
-                finish: c.finish,
-            });
-        }
-    }
-    Schedule::new(
-        g,
-        p,
-        ScheduleData {
-            epsilon,
-            period,
-            proc_of,
-            start,
-            finish,
-            sources,
-            comm_events,
-        },
-    )
 }
 
 /// **HEFT** over the whole platform (ε = 0): upward-rank list scheduling
@@ -250,51 +192,21 @@ impl Heuristic for DataParallel {
         }
         let out = crate::data_parallel(g, p, cfg.epsilon);
         // Group 0 holds the overall fastest processor, so it attains the
-        // legacy outcome's (fastest-member) latency.
-        let group = &out.groups[0];
-        let order = g.topo_order();
-        let v = g.num_tasks();
-        let n = v * nrep;
-        let mut proc_of = vec![ProcId(0); n];
-        let mut start = vec![0.0f64; n];
-        let mut finish = vec![0.0f64; n];
-        let mut sources: Vec<Vec<SourceChoice>> = vec![Vec::new(); n];
-        for (k, &u) in group.iter().enumerate() {
-            let mut clock = 0.0f64;
-            for &t in order {
-                let r = ReplicaId::new(t, k as u8).dense(nrep);
-                let exec = p.exec_time(g.exec(t), u);
-                proc_of[r] = u;
-                start[r] = clock;
-                finish[r] = clock + exec;
-                clock += exec;
-                sources[r] = g
-                    .pred_edges(t)
-                    .iter()
-                    .map(|&e| SourceChoice::one(e, k as u8))
-                    .collect();
-            }
-            if clock > cfg.period + EPS {
+        // legacy outcome's (fastest-member) latency. Each member is a lane
+        // running the whole graph sequentially.
+        let mut lanes = Vec::with_capacity(nrep);
+        for &u in &out.groups[0] {
+            let lane = makespan::sequential(g, p, u);
+            if lane.makespan > cfg.period + EPS {
                 return Err(ScheduleError::Overloaded {
                     proc: u,
-                    load: clock,
+                    load: lane.makespan,
                     capacity: cfg.period,
                 });
             }
+            lanes.push(lane);
         }
-        Ok(Schedule::new(
-            g,
-            p,
-            ScheduleData {
-                epsilon: cfg.epsilon,
-                period: cfg.period,
-                proc_of,
-                start,
-                finish,
-                sources,
-                comm_events: Vec::new(),
-            },
-        ))
+        Ok(lanes_schedule(g, p, &lanes, cfg.period))
     }
 }
 
@@ -353,7 +265,7 @@ pub fn full_solver<'a>(g: &'a TaskGraph, p: &'a Platform) -> Solver<'a> {
 mod tests {
     use super::*;
     use ltf_graph::generate::fig1_diamond;
-    use ltf_schedule::validate;
+    use ltf_schedule::{validate, ReplicaId};
 
     fn fig1() -> (TaskGraph, Platform) {
         (fig1_diamond(), Platform::fig1_platform())

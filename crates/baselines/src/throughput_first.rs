@@ -8,12 +8,16 @@
 //! the least-loaded feasible one. No attempt is made to bound the pipeline
 //! stage count, which is exactly the deficiency R-LTF addresses; the
 //! emitted [`Schedule`] makes the comparison measurable.
+//!
+//! Placement reserves processor time and ports through the list-scheduling
+//! state HEFT and ETF use ([`crate::makespan`]); only the candidate order
+//! and the condition (1) ledger (`σ`, `C^I`, `C^O`) are this strategy's.
 
+use crate::makespan::{lanes_schedule, take_highest, MapState};
 use ltf_core::LevelCache;
 use ltf_graph::{TaskGraph, TaskId};
 use ltf_platform::{Platform, ProcId};
-use ltf_schedule::intervals::earliest_common_fit;
-use ltf_schedule::{CommEvent, IntervalSet, ReplicaId, Schedule, ScheduleData, SourceChoice, EPS};
+use ltf_schedule::{Schedule, EPS};
 
 /// Error: some task cannot be placed without violating the period.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,145 +38,55 @@ impl std::error::Error for Infeasible {}
 pub fn throughput_first(g: &TaskGraph, p: &Platform, period: f64) -> Result<Schedule, Infeasible> {
     assert!(period.is_finite() && period > 0.0);
     let m = p.num_procs();
-    let v = g.num_tasks();
-
     let prio = LevelCache::compute(g, p).base_prio;
-
-    let mut proc_of = vec![ProcId(0); v];
-    let mut start = vec![0.0f64; v];
-    let mut finish = vec![0.0f64; v];
-    let mut placed = vec![false; v];
-    let mut sigma = vec![0.0f64; m];
-    let mut cin = vec![0.0f64; m];
-    let mut cout = vec![0.0f64; m];
-    let mut cpu = vec![IntervalSet::new(); m];
-    let mut send = vec![IntervalSet::new(); m];
-    let mut recv = vec![IntervalSet::new(); m];
-    let mut comm_events = Vec::new();
-
-    let mut indeg: Vec<usize> = g.tasks().map(|t| g.in_degree(t)).collect();
-    let mut ready: Vec<TaskId> = g.entries().to_vec();
-
-    while !ready.is_empty() {
-        // Highest priority ready task.
-        let mut best = 0usize;
-        for i in 1..ready.len() {
-            if prio[ready[i].index()] > prio[ready[best].index()] {
-                best = i;
-            }
-        }
-        let t = ready.swap_remove(best);
-
+    let mut st = MapState::new(g, p);
+    // Condition (1) ledger: compute load σ, input load C^I and output
+    // load C^O of every processor.
+    let (mut sigma, mut cin, mut cout) = (vec![0.0f64; m], vec![0.0f64; m], vec![0.0f64; m]);
+    while !st.ready.is_empty() {
+        let t = take_highest(&mut st.ready, &prio);
         // Candidate order: predecessor hosts first (cheapest), then all
         // processors by ascending compute load.
-        let mut cands: Vec<ProcId> = g.preds(t).map(|pr| proc_of[pr.index()]).collect();
+        let mut cands: Vec<ProcId> = g.preds(t).map(|pr| st.proc_of[pr.index()]).collect();
         let mut rest: Vec<ProcId> = p.procs().collect();
         rest.sort_by(|a, b| sigma[a.index()].partial_cmp(&sigma[b.index()]).unwrap());
         cands.extend(rest);
 
-        let mut done = false;
-        for u in cands {
-            if placed[t.index()] {
-                break;
+        let placement = cands.into_iter().find_map(|u| {
+            let exec = p.exec_time(g.exec(t), u);
+            if sigma[u.index()] + exec > period + EPS {
+                return None;
             }
-            let exec_t = p.exec_time(g.exec(t), u);
-            if sigma[u.index()] + exec_t > period + EPS {
-                continue;
-            }
-            // Tentative port reservations for the incoming messages.
-            let mut recv_scratch = recv[u.index()].clone();
-            let mut send_scratch: Vec<Option<IntervalSet>> = vec![None; m];
-            let mut planned = Vec::new();
+            let fit = st.fit(t, u, g.pred_edges(t));
+            // Each message's duration, summed in message order.
             let mut cin_add = 0.0;
             let mut cout_add = vec![0.0f64; m];
-            let mut ready_at = 0.0f64;
-            let mut ok = true;
-            for &eid in g.pred_edges(t) {
-                let e = g.edge(eid);
-                let h = proc_of[e.src.index()];
-                if h == u {
-                    ready_at = ready_at.max(finish[e.src.index()]);
-                    continue;
-                }
-                let dur = p.comm_time(e.volume, h, u);
-                if dur <= EPS {
-                    ready_at = ready_at.max(finish[e.src.index()]);
-                    continue;
-                }
-                let hs = send_scratch[h.index()].get_or_insert_with(|| send[h.index()].clone());
-                let st = earliest_common_fit(hs, &recv_scratch, finish[e.src.index()], dur);
-                hs.insert(st, st + dur);
-                recv_scratch.insert(st, st + dur);
+            for &(eid, h, ..) in &fit.comms {
+                let dur = p.comm_time(g.edge(eid).volume, h, u);
                 cin_add += dur;
                 cout_add[h.index()] += dur;
-                if cout[h.index()] + cout_add[h.index()] > period + EPS {
-                    ok = false;
-                    break;
-                }
-                planned.push((eid, e.src, h, st, dur));
-                ready_at = ready_at.max(st + dur);
             }
-            if !ok || cin[u.index()] + cin_add > period + EPS {
-                continue;
-            }
-            let s = cpu[u.index()].next_fit(ready_at, exec_t);
-            // Commit.
-            placed[t.index()] = true;
-            proc_of[t.index()] = u;
-            start[t.index()] = s;
-            finish[t.index()] = s + exec_t;
-            sigma[u.index()] += exec_t;
-            cpu[u.index()].insert(s, s + exec_t);
-            cin[u.index()] += cin_add;
-            for (eid, src, h, st, dur) in planned {
-                send[h.index()].insert(st, st + dur);
-                recv[u.index()].insert(st, st + dur);
-                cout[h.index()] += dur;
-                comm_events.push(CommEvent {
-                    edge: eid,
-                    src: ReplicaId::new(src, 0),
-                    dst: ReplicaId::new(t, 0),
-                    src_proc: h,
-                    dst_proc: u,
-                    start: st,
-                    finish: st + dur,
-                });
-            }
-            done = true;
-        }
-        if !done {
-            return Err(Infeasible { task: t });
-        }
-        for s in g.succs(t) {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-
-    let sources: Vec<Vec<SourceChoice>> = g
-        .tasks()
-        .map(|t| {
-            g.pred_edges(t)
+            let over = |load: f64, add: f64| load + add > period + EPS;
+            let senders_over = fit
+                .comms
                 .iter()
-                .map(|&e| SourceChoice::one(e, 0))
-                .collect()
-        })
-        .collect();
-    Ok(Schedule::new(
-        g,
-        p,
-        ScheduleData {
-            epsilon: 0,
-            period,
-            proc_of,
-            start,
-            finish,
-            sources,
-            comm_events,
-        },
-    ))
+                .any(|&(_, h, ..)| over(cout[h.index()], cout_add[h.index()]));
+            if senders_over || over(cin[u.index()], cin_add) {
+                return None;
+            }
+            Some((u, exec, cin_add, fit))
+        });
+        let Some((u, exec, cin_add, fit)) = placement else {
+            return Err(Infeasible { task: t });
+        };
+        sigma[u.index()] += exec;
+        cin[u.index()] += cin_add;
+        for &(eid, h, ..) in &fit.comms {
+            cout[h.index()] += p.comm_time(g.edge(eid).volume, h, u);
+        }
+        st.commit(t, u, fit);
+    }
+    Ok(lanes_schedule(g, p, &[st.into_schedule()], period))
 }
 
 #[cfg(test)]

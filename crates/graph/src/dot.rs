@@ -1,14 +1,6 @@
-//! Graphviz (DOT) export for inspection and documentation, and the
-//! matching importer.
-//!
-//! [`parse`] inverts [`to_dot`]: structure and names round-trip exactly,
-//! weights to the exporter's three printed decimals. The importer accepts
-//! the exporter's dialect — one statement per line, `label` attributes
-//! only — not arbitrary Graphviz; rejections are typed ([`DotError`])
-//! and carry the offending 1-based line number.
+//! Graphviz (DOT) export for inspection and documentation.
 
-use crate::graph::{GraphBuilder, GraphError, TaskGraph};
-use crate::ids::TaskId;
+use crate::graph::TaskGraph;
 
 /// Render the graph in Graphviz DOT syntax. Node labels show the task name
 /// and execution time; edge labels show the data volume.
@@ -32,176 +24,6 @@ pub fn to_dot(g: &TaskGraph) -> String {
     s
 }
 
-/// Typed rejection from [`parse`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum DotError {
-    /// A line the exporter's dialect does not produce, with the reason.
-    Syntax {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was expected there.
-        msg: String,
-    },
-    /// The same node id declared twice.
-    DuplicateNode {
-        /// 1-based line number of the second declaration.
-        line: usize,
-        /// The re-declared id.
-        id: usize,
-    },
-    /// Node ids are not dense: some id below the largest declared one
-    /// never appears.
-    MissingNode {
-        /// The absent id.
-        id: usize,
-    },
-    /// The assembled graph is structurally invalid (cycle, self-loop, or
-    /// an edge endpoint that is not a node).
-    Graph(GraphError),
-}
-
-impl std::fmt::Display for DotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Syntax { line, msg } => write!(f, "dot: line {line}: {msg}"),
-            Self::DuplicateNode { line, id } => {
-                write!(f, "dot: line {line}: node {id} declared twice")
-            }
-            Self::MissingNode { id } => write!(f, "dot: node {id} is never declared"),
-            Self::Graph(e) => write!(f, "dot: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DotError {}
-
-fn syntax(line: usize, msg: impl Into<String>) -> DotError {
-    DotError::Syntax {
-        line,
-        msg: msg.into(),
-    }
-}
-
-/// Split a `… [label="…"];` statement into the part before `[` and the
-/// unquoted label text.
-fn split_label(s: &str, line: usize) -> Result<(&str, &str), DotError> {
-    let (head, attr) = s
-        .split_once('[')
-        .ok_or_else(|| syntax(line, "expected `[label=\"…\"];`"))?;
-    let attr = attr
-        .trim_end()
-        .strip_suffix("];")
-        .ok_or_else(|| syntax(line, "statement does not end with `];`"))?;
-    let label = attr
-        .trim()
-        .strip_prefix("label=")
-        .ok_or_else(|| syntax(line, "expected a `label` attribute"))?;
-    let label = label
-        .strip_prefix('"')
-        .and_then(|l| l.strip_suffix('"'))
-        .ok_or_else(|| syntax(line, "label is not double-quoted"))?;
-    Ok((head, label))
-}
-
-fn parse_id(s: &str, line: usize, what: &str) -> Result<usize, DotError> {
-    s.trim()
-        .parse::<usize>()
-        .map_err(|_| syntax(line, format!("{what} {:?} is not a task id", s.trim())))
-}
-
-fn parse_weight(s: &str, line: usize, what: &str) -> Result<f64, DotError> {
-    match s.trim().parse::<f64>() {
-        Ok(w) if w.is_finite() => Ok(w),
-        _ => Err(syntax(
-            line,
-            format!("{what} {:?} is not a finite number", s.trim()),
-        )),
-    }
-}
-
-/// Parse a graph from the dialect [`to_dot`] emits.
-///
-/// Node statements are `<id> [label="<name> (<exec>)"];`, edges
-/// `<src> -> <dst> [label="<volume>"];`. Declaration order of nodes is
-/// free but ids must be dense; `rankdir`/`node`/`edge`/`graph` attribute
-/// lines are ignored. Structural problems (cycles, self-loops, dangling
-/// edge endpoints) surface as [`DotError::Graph`].
-pub fn parse(text: &str) -> Result<TaskGraph, DotError> {
-    let mut nodes: Vec<Option<(String, f64)>> = Vec::new();
-    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut in_body = false;
-    let mut closed = false;
-    let mut last = 0;
-    for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
-        last = line;
-        let s = raw.trim();
-        if s.is_empty() {
-            continue;
-        }
-        if closed {
-            return Err(syntax(line, format!("content after closing `}}`: {s:?}")));
-        }
-        if !in_body {
-            let rest = s
-                .strip_prefix("digraph")
-                .ok_or_else(|| syntax(line, "expected a `digraph <name> {` header"))?;
-            if !rest.trim().ends_with('{') {
-                return Err(syntax(line, "header is not opened with `{`"));
-            }
-            in_body = true;
-            continue;
-        }
-        if s == "}" {
-            closed = true;
-            continue;
-        }
-        let keyword = s.split(['=', ' ', '[']).next().unwrap_or("");
-        if matches!(keyword, "rankdir" | "node" | "edge" | "graph") {
-            continue;
-        }
-        if let Some((src, rest)) = s.split_once("->") {
-            let src = parse_id(src, line, "edge source")?;
-            let (dst, label) = split_label(rest, line)?;
-            let dst = parse_id(dst, line, "edge target")?;
-            let volume = parse_weight(label, line, "edge volume")?;
-            edges.push((src, dst, volume));
-        } else {
-            let (id, label) = split_label(s, line)?;
-            let id = parse_id(id, line, "node")?;
-            let (name, exec) = label
-                .rsplit_once(" (")
-                .and_then(|(n, e)| Some((n, e.strip_suffix(')')?)))
-                .ok_or_else(|| syntax(line, "node label is not `name (exec)`"))?;
-            let exec = parse_weight(exec, line, "execution time")?;
-            if nodes.len() <= id {
-                nodes.resize(id + 1, None);
-            }
-            if nodes[id].is_some() {
-                return Err(DotError::DuplicateNode { line, id });
-            }
-            nodes[id] = Some((name.to_string(), exec));
-        }
-    }
-    if !in_body {
-        return Err(syntax(last.max(1), "expected a `digraph <name> {` header"));
-    }
-    if !closed {
-        return Err(syntax(last, "missing closing `}`"));
-    }
-    let mut b = GraphBuilder::with_capacity(nodes.len(), edges.len());
-    for (id, node) in nodes.into_iter().enumerate() {
-        let (name, exec) = node.ok_or(DotError::MissingNode { id })?;
-        b.add_named_task(name, exec);
-    }
-    for (src, dst, volume) in edges {
-        // Out-of-range endpoints go through the builder unchecked and are
-        // reported by `build` as `GraphError::UnknownTask`.
-        b.add_edge(TaskId(src as u32), TaskId(dst as u32), volume);
-    }
-    b.build().map_err(DotError::Graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,101 +42,5 @@ mod tests {
         assert!(dot.contains("encode (2.500)"));
         assert!(dot.contains("0 -> 1 [label=\"3.000\"]"));
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    /// Weights as the exporter prints them (three decimals).
-    fn q(x: f64) -> f64 {
-        (x * 1000.0).round() / 1000.0
-    }
-
-    #[test]
-    fn parse_inverts_export() {
-        for g in [
-            crate::generate::fig1_diamond(),
-            crate::generate::fig2_workflow(),
-            crate::generate::fork_join(5, 2.0, 1.5),
-        ] {
-            let h = parse(&to_dot(&g)).expect("exporter output parses");
-            assert_eq!(h.num_tasks(), g.num_tasks());
-            assert_eq!(h.num_edges(), g.num_edges());
-            for t in g.tasks() {
-                assert_eq!(h.name(t), g.name(t));
-                assert_eq!(h.exec(t), q(g.exec(t)));
-            }
-            for id in g.edge_ids() {
-                let (a, b) = (g.edge(id), h.edge(id));
-                assert_eq!((b.src, b.dst, b.volume), (a.src, a.dst, q(a.volume)));
-            }
-            // A second round trip is exact: quantization is idempotent.
-            assert_eq!(to_dot(&h), to_dot(&parse(&to_dot(&h)).unwrap()));
-        }
-    }
-
-    #[test]
-    fn parse_accepts_free_declaration_order_and_blank_lines() {
-        let text = "digraph g {\n\n  1 [label=\"b (2.000)\"];\n  0 [label=\"a (1.000)\"];\n  0 -> 1 [label=\"0.500\"];\n}\n";
-        let g = parse(text).unwrap();
-        assert_eq!(g.num_tasks(), 2);
-        assert_eq!(g.name(TaskId(0)), "a");
-        assert_eq!(g.name(TaskId(1)), "b");
-    }
-
-    /// One corpus case per rejection class; each asserts the typed
-    /// variant and, for syntax errors, the offending line number.
-    #[test]
-    fn parse_error_corpus() {
-        let syntax_case = |text: &str, line: usize, needle: &str| match parse(text) {
-            Err(DotError::Syntax { line: l, msg }) => {
-                assert_eq!(l, line, "for {text:?}");
-                assert!(msg.contains(needle), "{msg:?} misses {needle:?}");
-            }
-            other => panic!("expected Syntax for {text:?}, got {other:?}"),
-        };
-        syntax_case("", 1, "digraph");
-        syntax_case("graph g {\n}\n", 1, "digraph");
-        syntax_case("digraph g\n", 1, "{");
-        syntax_case("digraph g {\n  0 [label=\"a (1.000)\"];\n", 2, "closing");
-        syntax_case("digraph g {\n}\nextra\n", 3, "after closing");
-        syntax_case("digraph g {\n  0;\n}\n", 2, "[label=");
-        syntax_case("digraph g {\n  0 [label=\"a (1.000)\"]\n}\n", 2, "`];`");
-        syntax_case("digraph g {\n  0 [shape=box];\n}\n", 2, "label");
-        syntax_case("digraph g {\n  0 [label=a];\n}\n", 2, "quoted");
-        syntax_case("digraph g {\n  0 [label=\"a\"];\n}\n", 2, "name (exec)");
-        syntax_case("digraph g {\n  0 [label=\"a (fast)\"];\n}\n", 2, "finite");
-        syntax_case("digraph g {\n  x [label=\"a (1.0)\"];\n}\n", 2, "task id");
-        syntax_case(
-            "digraph g {\n  0 [label=\"a (1.0)\"];\n  0 -> x [label=\"1.0\"];\n}\n",
-            3,
-            "edge target",
-        );
-        syntax_case(
-            "digraph g {\n  0 [label=\"a (1.0)\"];\n  0 -> 0 [label=\"much\"];\n}\n",
-            3,
-            "finite",
-        );
-        match parse("digraph g {\n  0 [label=\"a (1.0)\"];\n  0 [label=\"b (2.0)\"];\n}\n") {
-            Err(DotError::DuplicateNode { line: 3, id: 0 }) => {}
-            other => panic!("expected DuplicateNode, got {other:?}"),
-        }
-        match parse("digraph g {\n  1 [label=\"b (2.0)\"];\n}\n") {
-            Err(DotError::MissingNode { id: 0 }) => {}
-            other => panic!("expected MissingNode, got {other:?}"),
-        }
-        // Structural rejections flow through the graph builder.
-        let dangling = "digraph g {\n  0 [label=\"a (1.0)\"];\n  0 -> 7 [label=\"1.0\"];\n}\n";
-        assert!(matches!(
-            parse(dangling),
-            Err(DotError::Graph(GraphError::UnknownTask(_)))
-        ));
-        let cyclic = "digraph g {\n  0 [label=\"a (1.0)\"];\n  1 [label=\"b (1.0)\"];\n  0 -> 1 [label=\"1.0\"];\n  1 -> 0 [label=\"1.0\"];\n}\n";
-        assert!(matches!(
-            parse(cyclic),
-            Err(DotError::Graph(GraphError::Cyclic { .. }))
-        ));
-        let self_loop = "digraph g {\n  0 [label=\"a (1.0)\"];\n  0 -> 0 [label=\"1.0\"];\n}\n";
-        assert!(matches!(
-            parse(self_loop),
-            Err(DotError::Graph(GraphError::SelfLoop(_)))
-        ));
     }
 }

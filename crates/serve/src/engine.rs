@@ -43,6 +43,7 @@
 //! solves are pure.
 
 use crate::cache::{CacheKey, LruCache};
+use crate::lines::Reject;
 use crate::proto::{
     ok_line, parse_request, to_line, ErrResponse, Request, ShardRequest, SolutionWire, SolveRequest,
 };
@@ -245,17 +246,21 @@ impl Service {
         self.config.line_limit()
     }
 
-    /// The reply to a line over [`Service::line_limit`]: one `too-large`
-    /// error with no `id` (the line was never parsed), counted like any
-    /// other error.
-    pub fn reject_long_line(&self) -> String {
-        self.shared().stats.record_error("too-large", 0);
-        to_line(&ErrResponse::new(
-            None,
-            "too-large",
-            None,
-            format!("request line exceeds {} bytes", self.line_limit()),
-        ))
+    /// The reply to a line the transports reject unread
+    /// ([`Line::Rejected`](crate::lines::Line::Rejected)): one error with
+    /// no `id` (the line was never parsed), counted like any other error.
+    /// A line over [`Service::line_limit`] is `too-large`, a line that is
+    /// not UTF-8 is `parse`.
+    pub fn reject(&self, why: Reject) -> String {
+        let (kind, message) = match why {
+            Reject::TooLong => (
+                "too-large",
+                format!("request line exceeds {} bytes", self.line_limit()),
+            ),
+            Reject::NotUtf8 => ("parse", "request line is not valid UTF-8".to_string()),
+        };
+        self.shared().stats.record_error(kind, 0);
+        to_line(&ErrResponse::new(None, kind, None, message))
     }
 
     /// Answer one request line. Never panics on malformed input; every

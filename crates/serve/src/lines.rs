@@ -1,11 +1,14 @@
 //! The bounded request-line reader both transports use.
 //!
 //! `BufRead::lines()` buffers a whole line before anyone looks at it, so
-//! one endless line grows the daemon's memory without limit. [`Lines`]
+//! one endless line grows the daemon's memory without limit, and it ends
+//! the stream with an error at the first line that is not UTF-8. [`Lines`]
 //! splits and strips lines exactly as `lines()` does, but stops buffering
 //! once a line passes its byte limit: the rest of that line is read and
-//! dropped up to the next newline, and the caller gets one
-//! [`Line::TooLong`] to answer in its place.
+//! dropped up to the next newline. An over-long line and a line that is
+//! not UTF-8 each come back as one [`Line::Rejected`], for the caller to
+//! answer in its place ([`crate::Service::reject`]), and reading goes on
+//! with the next line.
 
 use std::io::{self, BufRead, Read};
 
@@ -14,8 +17,18 @@ use std::io::{self, BufRead, Read};
 pub enum Line {
     /// A line within the limit, without its `\n` or `\r\n`.
     Text(String),
-    /// A line longer than the limit; its bytes were discarded.
+    /// A line that is not handed over as text; its bytes were discarded.
+    Rejected(Reject),
+}
+
+/// Why a [`Line`] was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reject {
+    /// The line is longer than the limit.
     TooLong,
+    /// The line is not valid UTF-8. It is not decoded lossily: a `U+FFFD`
+    /// in a task name would then be solved as if it had been sent.
+    NotUtf8,
 }
 
 /// Iterator over the lines of a reader, each at most `limit` bytes before
@@ -31,8 +44,7 @@ impl<R: BufRead> Lines<R> {
         Self { inner, limit }
     }
 
-    /// The next line, or `None` at end of input. Invalid UTF-8 is an
-    /// `InvalidData` error, as with `lines()`.
+    /// The next line, or `None` at end of input.
     fn read(&mut self) -> io::Result<Option<Line>> {
         let mut buf = Vec::new();
         // A line that fits is at most `limit` bytes plus its newline, so
@@ -48,16 +60,12 @@ impl<R: BufRead> Lines<R> {
             }
         } else if buf.len() > self.limit {
             self.skip_line()?;
-            return Ok(Some(Line::TooLong));
+            return Ok(Some(Line::Rejected(Reject::TooLong)));
         }
-        String::from_utf8(buf)
-            .map(|s| Some(Line::Text(s)))
-            .map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                )
-            })
+        Ok(Some(match String::from_utf8(buf) {
+            Ok(s) => Line::Text(s),
+            Err(_) => Line::Rejected(Reject::NotUtf8),
+        }))
     }
 
     /// Drop the input up to and including the next newline, a buffer at a
@@ -107,6 +115,9 @@ mod tests {
         Line::Text(s.to_string())
     }
 
+    const TOO_LONG: Line = Line::Rejected(Reject::TooLong);
+    const NOT_UTF8: Line = Line::Rejected(Reject::NotUtf8);
+
     #[test]
     fn strips_newlines_like_std_lines() {
         let input = b"a\nbb\r\n\nc\r\rd\r";
@@ -123,12 +134,12 @@ mod tests {
     fn the_limit_is_inclusive() {
         assert_eq!(
             lines(b"abcd\nabcde\nxy", 4),
-            [text("abcd"), Line::TooLong, text("xy")]
+            [text("abcd"), TOO_LONG, text("xy")]
         );
         // A CRLF line's `\r` counts toward the limit.
-        assert_eq!(lines(b"abc\r\nabcd\r\n", 4), [text("abc"), Line::TooLong]);
+        assert_eq!(lines(b"abc\r\nabcd\r\n", 4), [text("abc"), TOO_LONG]);
         // An over-long last line without a newline is still one reply.
-        assert_eq!(lines(b"ok\nabcdefgh", 4), [text("ok"), Line::TooLong]);
+        assert_eq!(lines(b"ok\nabcdefgh", 4), [text("ok"), TOO_LONG]);
     }
 
     /// Hands out at most three bytes per read, so lines arrive split
@@ -150,19 +161,17 @@ mod tests {
         let got: Vec<Line> = Lines::new(BufReader::with_capacity(2, Trickle(input)), 6)
             .map(Result::unwrap)
             .collect();
-        assert_eq!(
-            got,
-            [text("abcde"), Line::TooLong, text("xyz"), text("abcdef")]
-        );
+        assert_eq!(got, [text("abcde"), TOO_LONG, text("xyz"), text("abcdef")]);
     }
 
+    /// A line that is not UTF-8 is one rejected line, not a stream
+    /// error, and the lines after it are read as usual (a last line
+    /// without its newline too).
     #[test]
     fn invalid_utf8_is_an_error() {
-        let mut it = Lines::new(&b"\xff\nok\n"[..], 64);
         assert_eq!(
-            it.next().unwrap().unwrap_err().kind(),
-            io::ErrorKind::InvalidData
+            lines(b"\xff\nok\n\xff\xfe bad\r\nb\xc3\xa9\n\xc3", 64),
+            [NOT_UTF8, text("ok"), NOT_UTF8, text("b\u{e9}"), NOT_UTF8]
         );
-        assert_eq!(it.next().unwrap().unwrap(), text("ok"));
     }
 }

@@ -1,7 +1,7 @@
 //! `ltf-serve` — the scheduling daemon.
 //!
 //! ```text
-//! ltf-serve [--listen ADDR] [--threads N] [--cache-cap N] [--batch N]
+//! ltf-serve [--listen ADDR] [--threads N] [--cache-cap N]
 //!           [--max-tasks N] [--max-edges N] [--stats] [--soak N]
 //!
 //! modes:
@@ -15,14 +15,14 @@
 //!                  and print the service-time percentiles to stderr
 //! ```
 //!
-//! Pipe mode batches up to `--batch` lines (default 64) per dispatch onto
-//! the solver pool; responses stay in request order and are bit-stable
-//! across runs, so piped output can be diffed against goldens. `--stats`
-//! prints a final statistics report to *stderr* at EOF (stderr so the
-//! stdout stream stays golden-diffable).
+//! Pipe mode batches up to 64 lines per dispatch onto the solver pool;
+//! responses stay in request order and are bit-stable across runs, so
+//! piped output can be diffed against goldens. `--stats` prints a final
+//! statistics report to *stderr* at EOF (stderr so the stdout stream
+//! stays golden-diffable).
 
 use ltf_experiments::take;
-use ltf_serve::lines::{Line, Lines};
+use ltf_serve::lines::{Line, Lines, Reject};
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
 use std::io::Write;
@@ -33,7 +33,6 @@ struct Opts {
     listen: Option<String>,
     threads: usize,
     cache_cap: usize,
-    batch: usize,
     max_tasks: usize,
     max_edges: usize,
     stats: bool,
@@ -47,7 +46,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
         listen: None,
         threads: 0,
         cache_cap: defaults.cache_capacity,
-        batch: 64,
         max_tasks: defaults.max_tasks,
         max_edges: defaults.max_edges,
         stats: false,
@@ -60,12 +58,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Opts, Strin
             "--listen" => opts.listen = Some(take(&mut args, "--listen", "host:port")?),
             "--threads" => opts.threads = take(&mut args, "--threads", "a thread count")?,
             "--cache-cap" => opts.cache_cap = take(&mut args, "--cache-cap", "a capacity")?,
-            "--batch" => {
-                opts.batch = take(&mut args, "--batch", "a positive batch size")?;
-                if opts.batch == 0 {
-                    return Err("--batch: got '0', expected a positive batch size".into());
-                }
-            }
             "--max-tasks" => opts.max_tasks = take(&mut args, "--max-tasks", "a task limit")?,
             "--max-edges" => opts.max_edges = take(&mut args, "--max-edges", "an edge limit")?,
             "--stats" => opts.stats = true,
@@ -91,13 +83,13 @@ fn main() {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("ltf-serve: {msg}");
-            eprintln!("usage: ltf-serve [--listen ADDR] [--threads N] [--cache-cap N] [--batch N] [--max-tasks N] [--max-edges N] [--stats] [--soak N]");
+            eprintln!("usage: ltf-serve [--listen ADDR] [--threads N] [--cache-cap N] [--max-tasks N] [--max-edges N] [--stats] [--soak N]");
             exit(2);
         }
     };
     if opts.help {
         println!("ltf-serve: LDJSON scheduling service; see README.md §Service");
-        println!("usage: ltf-serve [--listen ADDR] [--threads N] [--cache-cap N] [--batch N] [--max-tasks N] [--max-edges N] [--stats] [--soak N]");
+        println!("usage: ltf-serve [--listen ADDR] [--threads N] [--cache-cap N] [--max-tasks N] [--max-edges N] [--stats] [--soak N]");
         return;
     }
     let service = Service::new(service_config(&opts));
@@ -110,16 +102,23 @@ fn main() {
     }
 }
 
+/// Lines pipe mode answers per dispatch onto the solver pool.
+const PIPE_BATCH: usize = 64;
+
 /// Pipe mode: batch stdin lines, answer in order, exit at EOF.
 fn serve_pipe(service: &Service, opts: &Opts) {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut batch = Vec::with_capacity(opts.batch);
-    // Answers the batch, then `tail` (the reply to an over-long line,
-    // which must follow the lines read before it).
-    let mut flush = |batch: &mut Vec<String>, tail: Option<String>| {
-        for resp in service.handle_lines(batch).into_iter().chain(tail) {
+    let mut batch = Vec::with_capacity(PIPE_BATCH);
+    // Answers the batch, then the rejected line `tail`, which must follow
+    // the lines read before it.
+    let mut flush = |batch: &mut Vec<String>, tail: Option<Reject>| {
+        let replies = service.handle_lines(batch);
+        for resp in replies
+            .into_iter()
+            .chain(tail.map(|why| service.reject(why)))
+        {
             writeln!(out, "{resp}").expect("stdout");
         }
         out.flush().expect("stdout");
@@ -130,11 +129,11 @@ fn serve_pipe(service: &Service, opts: &Opts) {
             Line::Text(line) if line.trim().is_empty() => {}
             Line::Text(line) => {
                 batch.push(line);
-                if batch.len() >= opts.batch {
+                if batch.len() >= PIPE_BATCH {
                     flush(&mut batch, None);
                 }
             }
-            Line::TooLong => flush(&mut batch, Some(service.reject_long_line())),
+            Line::Rejected(why) => flush(&mut batch, Some(why)),
         }
     }
     if !batch.is_empty() {

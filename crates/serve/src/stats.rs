@@ -73,11 +73,6 @@ impl ServiceStats {
         self.served
     }
 
-    /// Error replies of `kind` so far.
-    pub fn errors_of_kind(&self, kind: &str) -> u64 {
-        self.errors_by_kind.get(kind).copied().unwrap_or(0)
-    }
-
     /// Snapshot the counters and percentile window into a wire report,
     /// with the solution cache's counters and the verdict cache's hits.
     pub fn report(

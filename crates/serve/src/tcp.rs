@@ -35,7 +35,8 @@ pub fn serve(listener: &TcpListener, service: &Service) {
 /// newline in one write, and Nagle is off: with Nagle on, a short segment
 /// waits until the peer acknowledges the previous one, and a peer that
 /// delays its ACK (~40 ms on Linux) stalls every reply ending in one.
-/// A line over [`Service::line_limit`] gets one `too-large` reply.
+/// A line over [`Service::line_limit`] or not in UTF-8 gets one error
+/// reply ([`Service::reject`]).
 fn answer(service: &Service, stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut out = stream;
@@ -43,7 +44,7 @@ fn answer(service: &Service, stream: &TcpStream) -> io::Result<()> {
         let mut reply = match line? {
             Line::Text(line) if line.trim().is_empty() => continue,
             Line::Text(line) => service.handle_line(&line),
-            Line::TooLong => service.reject_long_line(),
+            Line::Rejected(why) => service.reject(why),
         };
         reply.push('\n');
         out.write_all(reply.as_bytes())?;

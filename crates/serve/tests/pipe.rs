@@ -1,0 +1,55 @@
+//! Pipe mode of the real `ltf-serve` binary: every stdin line draws one
+//! stdout line, a line that is not UTF-8 included.
+
+use std::io::Write;
+use std::process::{Command, Stdio};
+
+const NOT_UTF8_REPLY: &str = r#"{"id":null,"status":"error","kind":"parse","heuristic":null,"message":"request line is not valid UTF-8"}"#;
+
+/// Feed `input` to a pipe-mode daemon and return its reply lines.
+fn replies(input: &[u8]) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ltf-serve");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input)
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("ltf-serve output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 replies");
+    stdout.lines().map(str::to_string).collect()
+}
+
+/// The first line is answered although the second is not UTF-8 and sits
+/// in the same batch; the second is one `parse` reply; the third is
+/// served and counts the error.
+#[test]
+fn invalid_utf8_line_is_one_parse_reply() {
+    let got = replies(b"{\"cmd\":\"heuristics\"}\n\xff\xfe bad\n{\"cmd\":\"stats\"}\n");
+    assert_eq!(got.len(), 3, "{got:?}");
+    assert!(got[0].starts_with(r#"{"status":"ok","heuristics""#));
+    assert_eq!(got[1], NOT_UTF8_REPLY);
+    assert!(
+        got[2].contains(r#""errors":1,"errors_by_kind":{"parse":1}"#),
+        "{}",
+        got[2]
+    );
+}
+
+/// A rejected line is counted after the lines read before it, as a
+/// serial run counts it: a `stats` request ahead of it in the same batch
+/// does not see its error.
+#[test]
+fn a_rejected_line_is_counted_in_line_order() {
+    let got = replies(b"{\"cmd\":\"stats\"}\n\xff\n");
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert!(got[0].contains(r#""errors":0,"#), "{}", got[0]);
+    assert_eq!(got[1], NOT_UTF8_REPLY);
+}

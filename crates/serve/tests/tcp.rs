@@ -2,8 +2,8 @@
 //! socket (Nagle on, delayed ACKs) gets its replies without a stall, a
 //! cache hit on one connection is answered while another connection's
 //! miss is still solving, `{"cmd":"stats"}` counts the requests of every
-//! connection, and a line nested too deep to parse or too long to buffer
-//! leaves the daemon serving.
+//! connection, and a line nested too deep to parse, too long to buffer or
+//! not in UTF-8 leaves the daemon serving.
 
 use ltf_graph::generate::{layered, LayeredConfig};
 use rand::rngs::StdRng;
@@ -237,6 +237,34 @@ fn over_long_line_is_too_large_and_the_daemon_keeps_serving() {
     );
     let reply = conn.recv();
     assert!(reply.starts_with(r#"{"status":"ok""#), "{reply}");
+    let reply = daemon.connect().call(&small(1));
+    assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
+}
+
+/// A line that is not UTF-8 is one `parse` reply with a null `id`, the
+/// next line on the same connection is served, and so is a new
+/// connection.
+#[test]
+fn invalid_utf8_line_is_a_parse_error_and_the_connection_keeps_serving() {
+    let daemon = Daemon::start();
+    let mut conn = daemon.connect();
+    conn.stream
+        .write_all(b"{\"cmd\":\"heuristics\"}\n\xff\xfe bad\n{\"cmd\":\"stats\"}\n")
+        .expect("send");
+    let reply = conn.recv();
+    assert!(
+        reply.starts_with(r#"{"status":"ok","heuristics""#),
+        "{reply}"
+    );
+    assert_eq!(
+        conn.recv(),
+        r#"{"id":null,"status":"error","kind":"parse","heuristic":null,"message":"request line is not valid UTF-8"}"#
+    );
+    let reply = conn.recv();
+    assert!(
+        reply.contains(r#""errors":1,"errors_by_kind":{"parse":1}"#),
+        "{reply}"
+    );
     let reply = daemon.connect().call(&small(1));
     assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
 }
