@@ -164,9 +164,12 @@ mod tests {
         assert_eq!(entries[0].name, "a/b");
         assert_eq!(entries[0].median_ns, 1500.0);
         assert_eq!(entries[0].min_ns, None);
-        // The committed baselines carry `max_ns` and `pre_pr_median_ns`;
-        // the pareto one also records its machine's core count.
-        for (file, cores) in [("BENCH_scaling.json", None), ("BENCH_pareto.json", Some(2))] {
+        // The committed baselines carry `max_ns` and `pre_pr_median_ns`,
+        // and record their machine's core count.
+        for (file, cores) in [
+            ("BENCH_scaling.json", Some(2)),
+            ("BENCH_pareto.json", Some(2)),
+        ] {
             let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
             let run = parse_bench_json(&std::fs::read_to_string(path).unwrap()).unwrap();
             assert!(run.entries.iter().all(|e| e.min_ns.is_some()), "{file}");

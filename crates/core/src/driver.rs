@@ -70,12 +70,44 @@
 //!   Rule 1 prefers the one yielding the smaller global stage count,
 //!   Rule 2 breaks stage ties towards one-to-one spreading on linear chain
 //!   sections, and remaining ties go to the earlier aggregate finish time.
+//!
+//! ### Bounded candidate scans
+//!
+//! Every copy is placed by probing candidate processors, and most probes
+//! cannot change the decision. [`Engine::probe_bound`] gives, without
+//! reading a port, a link or the period, the exact stage of a probe and a
+//! finish no later than its own. The scans use it to skip candidates that
+//! cannot win; they choose exactly what probing every candidate chooses.
+//!
+//! * **R-LTF** keeps, per copy, the passing candidate with the smallest
+//!   key `(stage, opens a fresh processor, finish)`. Replacing the
+//!   incumbent only on a strictly smaller key in processor order keeps
+//!   the lowest-index minimum: the argmin of `(key, processor)`. Both
+//!   attempts bound every admissible processor, sort by
+//!   `(bound key, processor)` and probe in that order. The scan stops at
+//!   the first candidate whose `(bound key, processor)` is not below the
+//!   incumbent's `(key, processor)`: every later candidate has a key at
+//!   least its bound, so none can be smaller. The bound's stage and the
+//!   clustering flag are exact; only the finish is a bound. The
+//!   one-to-one attempt keeps each candidate's heads in a row of its own
+//!   and runs the closure checks, which only filter, on the probed ones.
+//! * **LTF** keeps the first candidate in processor order and replaces it
+//!   only when a later one finishes more than `EPS` earlier. That rule
+//!   depends on the order: with A = 10 before B = 10 − 0.6·EPS, processor
+//!   order keeps A, where best-first order would keep B. So LTF scans in
+//!   processor order, and skips a candidate once an incumbent exists and
+//!   the candidate's bound finish is at least the incumbent's finish −
+//!   `EPS`.
+//!
+//! A skipped candidate makes no period comparison; the [`crate::search`]
+//! module docs show why the run's [`PeriodWindow`] stays exact.
 
 use crate::config::{AlgoConfig, PeriodWindow, ScheduleError};
 use crate::engine::{Engine, PlanBuf, ProbeBuf, ProbeWorkspace, ProcMask, ReplicaSet};
 use crate::prio::{LevelCache, PrioTracker};
 use ltf_graph::traversal::ReadyTracker;
 use ltf_graph::{TaskGraph, TaskId};
+use ltf_platform::ProcId;
 use ltf_schedule::{ReplicaId, EPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,10 +141,11 @@ struct RfaCommit {
 }
 
 /// Per-placement working memory: candidate/incumbent double buffers for
-/// probes, plans, head choices and closure bitsets, the probe workspace,
-/// the one-to-one head-consumption table and the receive-from-all replay
-/// records. Split from [`SelectScratch`] so the chunk loop can hold a
-/// mutable `LtfCtx` while placement borrows this half.
+/// probes, plans and closure bitsets, the probe workspace, R-LTF's
+/// best-first scan order and per-candidate head choices, the one-to-one
+/// head-consumption table and the receive-from-all replay records. Split
+/// from [`SelectScratch`] so the chunk loop can hold a mutable `LtfCtx`
+/// while placement borrows this half.
 #[derive(Default)]
 struct PlaceScratch {
     ws: ProbeWorkspace,
@@ -120,10 +153,13 @@ struct PlaceScratch {
     best: ProbeBuf,
     plan: PlanBuf,
     best_plan: PlanBuf,
-    heads: Vec<u8>,
-    best_heads: Vec<u8>,
     cand_dset: ReplicaSet,
     best_dset: ReplicaSet,
+    /// R-LTF candidates by bound key, sorted best-first.
+    order: Vec<RltfKey>,
+    /// One-to-one head choice per candidate and in-edge, flat
+    /// `m × in_degree`.
+    head_rows: Vec<u8>,
     /// Flat `in_degree × nrep` table of unconsumed head copies
     /// ([`CONSUMED`] marks a used slot).
     remaining: Vec<u8>,
@@ -285,10 +321,11 @@ fn ltf_place_copy(
     Ok(())
 }
 
-/// LTF placement for one copy: probe every processor outside the task's
-/// used cone with a per-edge source plan, and keep the placement with the
-/// earliest finish time (budget-respecting cones preferred). On success
-/// the winner sits in `s.best` / `s.best_plan`.
+/// LTF placement for one copy: scan the processors outside the task's
+/// used cone in order with a per-edge source plan, probe those whose
+/// bound can still beat the incumbent (see the module docs), and keep the
+/// placement with the earliest finish time. On success the winner sits in
+/// `s.best` / `s.best_plan`.
 ///
 /// The per-edge plan generalizes Algorithm 4.2: an edge uses the
 /// cone-disjoint head with the earliest communication finish onto the
@@ -348,9 +385,15 @@ fn ltf_best_placement(
                 None => s.plan.push_all(eid, engine.nrep),
             }
         }
+        // A candidate wins only with a finish below the incumbent's by
+        // more than EPS, which its bound can rule out unprobed.
+        if have_best && engine.probe_bound(t, u, &s.plan).1 >= s.best.finish - EPS {
+            continue;
+        }
         if !engine.probe(t, u, &s.plan, &mut s.ws, &mut s.cand) {
             continue;
         }
+        debug_assert!(bound_holds(engine.probe_bound(t, u, &s.plan), &s.cand));
         if s.cand.kill & ctx.used != 0 {
             continue;
         }
@@ -470,6 +513,31 @@ fn rule2_condition(g: &TaskGraph, t: TaskId, tracker: &ReadyTracker) -> bool {
         .all(|s| g.in_degree(s) == 1 && (tracker.is_done(s) || tracker.is_ready(s)))
 }
 
+/// R-LTF's placement key: stage first; then, with clustering, processors
+/// already in use; then finish time. In reverse time the finish value
+/// carries no latency meaning, and spreading stage-tied replicas across
+/// fresh processors would deny every upstream task a co-location target
+/// (its consumers would sit on different processors, forcing a new stage
+/// per level). The processor comes last, so the smallest key is the
+/// lowest-index minimum that a scan in processor order keeps.
+type RltfKey = (u32, bool, f64, ProcId);
+
+fn rltf_key(engine: &Engine<'_>, cluster: bool, u: ProcId, stage: u32, finish: f64) -> RltfKey {
+    (stage, cluster && !engine.proc_used(u), finish, u)
+}
+
+/// Sort R-LTF's candidates by bound key. The bounds are finite and the
+/// processors distinct, so the order is total.
+fn sort_best_first(order: &mut [RltfKey]) {
+    order.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+}
+
+/// Whether a passing probe honours its [`Engine::probe_bound`]: the same
+/// stage, and a finish at or after the bound's.
+fn bound_holds((stage, finish): (u32, f64), probe: &ProbeBuf) -> bool {
+    probe.stage == stage && probe.finish >= finish
+}
+
 /// Attempt to place all copies of `t` with one-to-one pairings forming a
 /// perfect matching per in-edge. Mutates the engine; on failure the caller
 /// rolls back.
@@ -482,10 +550,11 @@ fn rltf_try_one_to_one(
     let g = engine.g;
     let nrep = engine.nrep;
     let pred_edges = g.pred_edges(t);
+    let deg = pred_edges.len();
     // Unconsumed head copies per in-edge (perfect matching across copies),
     // flat `in_degree × nrep`.
     s.remaining.clear();
-    for _ in 0..pred_edges.len() {
+    for _ in 0..deg {
         s.remaining.extend(0..nrep as u8);
     }
 
@@ -494,18 +563,18 @@ fn rltf_try_one_to_one(
 
     for copy in 0..nrep as u8 {
         let rep_dense = ReplicaId::new(t, copy).dense(nrep);
-        let mut have_best = false;
 
-        'procs: for u in engine.p.procs() {
-            // Head per in-edge: smallest (stage contribution, arrival)
-            // among unconsumed copies.
+        // Head per candidate and in-edge: smallest (stage contribution,
+        // arrival) among unconsumed copies. Each candidate is bounded with
+        // its own heads.
+        s.order.clear();
+        s.head_rows.clear();
+        for u in engine.p.procs() {
             s.plan.clear();
-            s.heads.clear();
             for (i, &eid) in pred_edges.iter().enumerate() {
                 let pred = g.edge(eid).src;
                 let mut pick: Option<(u32, f64, u8)> = None;
-                for k in 0..nrep {
-                    let c = s.remaining[i * nrep + k];
+                for &c in &s.remaining[i * nrep..(i + 1) * nrep] {
                     if c == CONSUMED {
                         continue;
                     }
@@ -519,25 +588,31 @@ fn rltf_try_one_to_one(
                         pick = Some(key);
                     }
                 }
-                match pick {
-                    Some((_, _, c)) => {
-                        s.plan.push_single(eid, c);
-                        s.heads.push(c);
-                    }
-                    // No heads left for some edge: no copy can pair (the
-                    // consumption table is processor-independent).
-                    None => break 'procs,
-                }
+                // No heads left for some edge: no copy can pair (the
+                // consumption table is processor-independent).
+                let (_, _, c) = pick?;
+                s.plan.push_single(eid, c);
+                s.head_rows.push(c);
             }
+            let (stage, finish) = engine.probe_bound(t, u, &s.plan);
+            s.order.push(rltf_key(engine, cluster, u, stage, finish));
+        }
+        sort_best_first(&mut s.order);
 
+        let mut best: Option<RltfKey> = None;
+        for &bound in &s.order {
+            if best.is_some_and(|b| bound >= b) {
+                break;
+            }
+            let u = bound.3;
+            let heads = &s.head_rows[u.index() * deg..][..deg];
             // Downstream closure of the would-be replica, and the validity
             // checks (no two copies of one task downstream; host outside
             // every sibling's upstream hosts).
             s.cand_dset.clear();
             s.cand_dset.insert(rep_dense);
-            for (i, &eid) in pred_edges.iter().enumerate() {
-                let pred = g.edge(eid).src;
-                let head = ReplicaId::new(pred, s.heads[i]).dense(nrep);
+            for (&eid, &c) in pred_edges.iter().zip(heads) {
+                let head = ReplicaId::new(g.edge(eid).src, c).dense(nrep);
                 s.cand_dset.union_with(&engine.state.down[head]);
             }
             if closure_has_copy_conflict(&s.cand_dset, nrep) {
@@ -548,37 +623,27 @@ fn rltf_try_one_to_one(
                 continue;
             }
 
+            s.plan.clear();
+            for (&eid, &c) in pred_edges.iter().zip(heads) {
+                s.plan.push_single(eid, c);
+            }
             if !engine.probe(t, u, &s.plan, &mut s.ws, &mut s.cand) {
                 continue;
             }
-            // Stage first; then prefer processors already in use — in
-            // reverse time the finish value carries no latency meaning,
-            // and spreading stage-tied replicas across fresh processors
-            // would deny every upstream task a co-location target (its
-            // consumers would sit on different processors, forcing a new
-            // stage per level). Finish time breaks the remaining ties.
-            let key = (s.cand.stage, cluster && !engine.proc_used(u), s.cand.finish);
-            let better = !have_best
-                || key
-                    < (
-                        s.best.stage,
-                        cluster && !engine.proc_used(s.best.proc),
-                        s.best.finish,
-                    );
-            if better {
+            debug_assert!(bound_holds((bound.0, bound.2), &s.cand));
+            let key = rltf_key(engine, cluster, u, s.cand.stage, s.cand.finish);
+            if best.is_none_or(|b| key < b) {
                 std::mem::swap(&mut s.cand, &mut s.best);
                 std::mem::swap(&mut s.plan, &mut s.best_plan);
-                std::mem::swap(&mut s.heads, &mut s.best_heads);
                 std::mem::swap(&mut s.cand_dset, &mut s.best_dset);
-                have_best = true;
+                best = Some(key);
             }
         }
 
-        if !have_best {
-            return None;
-        }
+        let best_u = best?.3;
         // Consume the heads (each copy value appears at most once per row).
-        for (i, &c) in s.best_heads.iter().enumerate() {
+        let heads = &s.head_rows[best_u.index() * deg..][..deg];
+        for (i, &c) in heads.iter().enumerate() {
             for k in 0..nrep {
                 if s.remaining[i * nrep + k] == c {
                     s.remaining[i * nrep + k] = CONSUMED;
@@ -622,31 +687,32 @@ fn rltf_try_receive_from_all(
         // Sibling upstream hosts are forbidden (their crash must not be
         // able to take out this copy as well).
         let forbid = engine.state.allush[t.index()];
-        let mut have_best = false;
+        s.order.clear();
         for u in engine.p.procs() {
-            if forbid >> u.index() & 1 == 1 {
-                continue;
+            if forbid >> u.index() & 1 == 0 {
+                let (stage, finish) = engine.probe_bound(t, u, &s.plan);
+                s.order.push(rltf_key(engine, cluster, u, stage, finish));
             }
+        }
+        sort_best_first(&mut s.order);
+
+        let mut best: Option<RltfKey> = None;
+        for &bound in &s.order {
+            if best.is_some_and(|b| bound >= b) {
+                break;
+            }
+            let u = bound.3;
             if !engine.probe(t, u, &s.plan, &mut s.ws, &mut s.cand) {
                 continue;
             }
-            // Same clustering tie-break as the one-to-one attempt.
-            let key = (s.cand.stage, cluster && !engine.proc_used(u), s.cand.finish);
-            let better = !have_best
-                || key
-                    < (
-                        s.best.stage,
-                        cluster && !engine.proc_used(s.best.proc),
-                        s.best.finish,
-                    );
-            if better {
+            debug_assert!(bound_holds((bound.0, bound.2), &s.cand));
+            let key = rltf_key(engine, cluster, u, s.cand.stage, s.cand.finish);
+            if best.is_none_or(|b| key < b) {
                 std::mem::swap(&mut s.cand, &mut s.best);
-                have_best = true;
+                best = Some(key);
             }
         }
-        if !have_best {
-            return None;
-        }
+        best?;
         max_stage = max_stage.max(s.best.stage);
         total_finish += s.best.finish;
         let host = s.best.proc;
@@ -719,9 +785,9 @@ mod tests {
         (b.build().unwrap(), [a, c, t])
     }
 
-    /// The steady-state LTF placement sweep — plan building, probing every
-    /// processor, incumbent promotion — performs zero heap allocations
-    /// once the scratch arena is warm.
+    /// The steady-state LTF placement sweep — plan building, bounding and
+    /// probing the candidates, incumbent promotion — performs zero heap
+    /// allocations once the scratch arena is warm.
     #[test]
     fn ltf_placement_sweep_allocates_nothing_when_warm() {
         let (g, [a, c, t]) = join_graph();
@@ -744,9 +810,13 @@ mod tests {
         }
 
         // Warm the scratch on the join task, then measure an identical
-        // (read-only) sweep.
+        // (read-only) sweep. Two warm-up sweeps: the bound can skip the
+        // probes that would warm one of the two probe buffers, and an odd
+        // number of promotions swaps the buffers' roles between sweeps.
         let ctx = LtfCtx::new(t);
-        assert!(ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
+        for _ in 0..2 {
+            assert!(ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
+        }
         let (allocs, found) =
             measure(|| ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
         assert!(found);

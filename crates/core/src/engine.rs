@@ -12,6 +12,8 @@
 //! one-port link reservations for its incoming messages, the resulting
 //! pipeline stage, and whether condition (1) (the throughput constraint)
 //! holds. [`Engine::commit`] then applies the chosen probe.
+//! [`Engine::probe_bound`] is the cheap, period-free lower bound the
+//! driver's candidate scans use to skip probes that cannot win.
 //!
 //! ### Memory layout
 //!
@@ -827,6 +829,43 @@ impl<'a> Engine<'a> {
         true
     }
 
+    /// A lower bound on [`Engine::probe`] that reads no port, link or
+    /// period: `(stage, finish)` where `stage` is exactly the stage a
+    /// passing probe reports and `finish` is no later than its finish.
+    ///
+    /// Every incoming message is taken to leave the moment its producer
+    /// finished. A probed message never starts earlier: each fit starts
+    /// its search there. A local source, or a remote one whose transfer
+    /// takes at most `EPS`, counts only its producer's finish, as the
+    /// probe does. The replica is then fitted on the CPU with
+    /// [`IntervalSet::fit_lower_bound`](ltf_schedule::IntervalSet::fit_lower_bound),
+    /// which stays below the fit from any later ready time. The bound does
+    /// not depend on the period, so a candidate it rules out loses at every
+    /// period.
+    pub fn probe_bound(&self, t: TaskId, u: ProcId, plan: &PlanBuf) -> (u32, f64) {
+        let st = &self.state;
+        let mut ready = 0.0f64;
+        let mut stage = 1u32;
+        for (edge, copies) in plan.iter() {
+            let e = self.g.edge(edge);
+            for &c in copies {
+                let sidx = self.dense(e.src, c);
+                let (h, f) = (st.proc_of[sidx], st.finish[sidx]);
+                if h == u {
+                    ready = ready.max(f);
+                    stage = stage.max(st.stage[sidx]);
+                    continue;
+                }
+                stage = stage.max(st.stage[sidx] + 1);
+                let dur = self.p.comm_time(e.volume, h, u);
+                ready = ready.max(if dur <= EPS { f } else { f + dur });
+            }
+        }
+        let exec = self.p.exec_time(self.g.exec(t), u);
+        let start = st.cpu.bucket(u.index()).fit_lower_bound(ready, exec);
+        (stage, start + exec)
+    }
+
     /// Apply a probe: place the replica, reserve ports and CPU, record the
     /// communication events and the source structure (and, in reverse
     /// mode, the transposed forward sources). Journaled when a checkpoint
@@ -1179,6 +1218,10 @@ mod tests {
         let pr_local = probe(&e, TaskId(1), ProcId(0), &plan).unwrap();
         assert_eq!(pr_local.start, 4.0);
         assert_eq!(pr_local.stage, 1);
+        // With every port free the bound is the probe itself; the local
+        // source adds no stage.
+        assert_eq!(e.probe_bound(TaskId(1), ProcId(1), &plan), (2, 9.0));
+        assert_eq!(e.probe_bound(TaskId(1), ProcId(0), &plan), (1, 6.0));
     }
 
     #[test]
@@ -1244,6 +1287,58 @@ mod tests {
         let (s0, s1) = (starts[0], starts[1]);
         assert_eq!(s0.min(s1), 2.0);
         assert_eq!(s0.max(s1), 6.0);
+        // The bound reads no port: both messages arrive at 6.
+        assert_eq!((pr.stage, pr.finish), (2, 11.0));
+        assert_eq!(e.probe_bound(t, ProcId(2), &plan), (2, 7.0));
+    }
+
+    /// A zero-volume remote message crosses processors (one more stage)
+    /// but takes no port time: the bound counts only its producer.
+    #[test]
+    fn probe_bound_zero_volume_message() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(4.0);
+        let t = b.add_task(2.0);
+        b.add_edge(a, t, 0.0);
+        let g = b.build().unwrap();
+        let p = Platform::homogeneous(2, 1.0, 1.0);
+        let cfg = AlgoConfig::new(0, 10.0);
+        let mut e = Engine::new(&g, &p, &cfg);
+        let empty = PlanBuf::new();
+        let pr = probe(&e, a, ProcId(0), &empty).unwrap();
+        e.commit(a, 0, &pr, &empty);
+        let plan = rfa_plan(&g, t, 1);
+        let pr = probe(&e, t, ProcId(1), &plan).unwrap();
+        assert_eq!((pr.stage, pr.finish), (2, 6.0));
+        assert_eq!(e.probe_bound(t, ProcId(1), &plan), (2, 6.0));
+    }
+
+    /// A message that waits for a busy send port makes the probe finish
+    /// later than the bound, which reads no port; the stage is exact.
+    #[test]
+    fn probe_bound_ignores_a_busy_send_port() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(2.0);
+        let x = b.add_task(1.0);
+        let t = b.add_task(1.0);
+        b.add_edge(a, x, 4.0);
+        b.add_edge(a, t, 4.0);
+        let g = b.build().unwrap();
+        let p = Platform::homogeneous(3, 1.0, 1.0);
+        let cfg = AlgoConfig::new(0, 30.0);
+        let mut e = Engine::new(&g, &p, &cfg);
+        let empty = PlanBuf::new();
+        let pr = probe(&e, a, ProcId(0), &empty).unwrap();
+        e.commit(a, 0, &pr, &empty);
+        // x's message holds P0's send port over [2, 6), so a's message to
+        // t on P2 leaves at 6.
+        let plan_x = rfa_plan(&g, x, 1);
+        let pr = probe(&e, x, ProcId(1), &plan_x).unwrap();
+        e.commit(x, 0, &pr, &plan_x);
+        let plan_t = rfa_plan(&g, t, 1);
+        let pr = probe(&e, t, ProcId(2), &plan_t).unwrap();
+        assert_eq!((pr.stage, pr.finish), (2, 11.0));
+        assert_eq!(e.probe_bound(t, ProcId(2), &plan_t), (2, 7.0));
     }
 
     #[test]
@@ -1389,7 +1484,10 @@ mod tests {
             let pr = probe(&e, x, ProcId(2), &plan_x).unwrap();
             e.commit(x, 0, &pr, &plan_x);
             let plan_y = rfa_plan(&g, y, 1);
-            probe(&e, y, ProcId(3), &plan_y).unwrap().start
+            let pr = probe(&e, y, ProcId(3), &plan_y).unwrap();
+            // The bound reads no link: the message arrives at 6.
+            assert_eq!(e.probe_bound(y, ProcId(3), &plan_y), (2, 7.0));
+            pr.start
         };
 
         // Uniform: message P1 → P3 starts at 2 (all ports free), y at 6.

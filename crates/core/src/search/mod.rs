@@ -55,6 +55,13 @@
 //! expression, since any other tolerance misjudges values that sit
 //! within a rounding error of the boundary.
 //!
+//! A window records only the candidates the run probed. The placement
+//! scans skip candidates whose period-free lower bound cannot beat the
+//! incumbent, and a skipped candidate checks nothing. The window is still
+//! exact: at any period it admits, every probed candidate passes or fails
+//! as before, the same incumbents arise and the same candidates are
+//! skipped, and a skipped one cannot win at any period.
+//!
 //! [`min_period_prepared`] and the Pareto cells answer each probe through
 //! a memo of the windowed runs of their cell: a probe inside a recorded
 //! window takes that run's verdict, a feasible one moved to the probed

@@ -125,6 +125,34 @@ impl IntervalSet {
         next_fit_in(&self.ivs, ready, dur)
     }
 
+    /// A lower bound on [`IntervalSet::next_fit`]`(r, dur)` over every
+    /// `r ≥ ready`, for times below 2³².
+    ///
+    /// `next_fit` is not monotone in `ready`. A ready time less than `EPS`
+    /// before the end of a busy interval skips that interval, where an
+    /// earlier one waits for its end. The two `EPS` slacks can then also
+    /// let the later ready time fit a gap that the earlier one misses.
+    /// This walk visits the same gaps, but past a blocking interval it
+    /// advances only to `end − 2·EPS`. Every fit from a later ready time
+    /// ends within `EPS` of that interval's end or after it, so it starts
+    /// at or after that point.
+    pub fn fit_lower_bound(&self, ready: f64, dur: f64) -> f64 {
+        if dur <= EPS {
+            return ready;
+        }
+        let ivs = &self.ivs;
+        let mut t = ready;
+        let mut i = ivs.partition_point(|&(_, e)| e <= t + EPS);
+        while let Some(&(s, e)) = ivs.get(i) {
+            if s + EPS >= t + dur {
+                break;
+            }
+            t = t.max(e - 2.0 * EPS);
+            i += 1;
+        }
+        t
+    }
+
     /// Insert a busy interval. Zero-length intervals are ignored.
     ///
     /// # Panics
@@ -357,6 +385,24 @@ mod tests {
         assert_eq!(s.next_fit(0.0, 1.0), 4.0);
         assert_eq!(s.total(), 6.0);
         assert_eq!(s.len(), 3);
+    }
+
+    /// `next_fit` steps back when a later ready time lands within `EPS`
+    /// of a busy interval's end; the lower bound stays below both.
+    #[test]
+    fn fit_lower_bound_covers_later_ready_times() {
+        let mut s = IntervalSet::new();
+        s.insert(0.0, 10.0);
+        s.insert(10.999_998_7, 20.0);
+        let late = 10.0 - 0.5 * EPS;
+        assert_eq!(s.next_fit(5.0, 1.0), 20.0);
+        assert_eq!(s.next_fit(late, 1.0), late);
+        assert_eq!(s.fit_lower_bound(5.0, 1.0), 10.0 - 2.0 * EPS);
+        // Free time and a fitting gap: the bound is the fit itself.
+        assert_eq!(s.fit_lower_bound(25.0, 3.0), s.next_fit(25.0, 3.0));
+        s.remove(10.999_998_7, 20.0);
+        assert_eq!(s.fit_lower_bound(-4.0, 2.0), s.next_fit(-4.0, 2.0));
+        assert_eq!(s.fit_lower_bound(3.0, EPS), 3.0);
     }
 
     #[test]

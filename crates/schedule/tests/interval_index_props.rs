@@ -181,3 +181,36 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `fit_lower_bound(ready)` never exceeds a fit from any later ready
+    /// time, on timelines whose gaps sit within `EPS` of the message
+    /// length (where `next_fit` itself is not monotone).
+    #[test]
+    fn fit_lower_bound_is_below_every_later_fit(
+        reqs in prop::collection::vec((0.0f64..30.0, 0.2f64..2.0), 0..10),
+        ready in 0.0f64..35.0,
+        later in prop::collection::vec(0.0f64..3.0, 1..6),
+        dur in 0.1f64..3.0,
+        jitter in -3e-6f64..3e-6,
+    ) {
+        let mut s = IntervalSet::new();
+        for &(start, len) in &reqs {
+            let t = s.next_fit(start, len);
+            s.insert(t, t + len);
+        }
+        let ends: Vec<f64> = s.intervals().iter().map(|&(_, e)| e).collect();
+        let bound = s.fit_lower_bound(ready, dur);
+        prop_assert!(bound >= ready);
+        // Later ready times, including ones just before each busy end.
+        let candidates = later
+            .iter()
+            .map(|&d| ready + d)
+            .chain(ends.iter().map(|&e| e + jitter).filter(|&r| r >= ready));
+        for r in candidates {
+            prop_assert!(bound <= s.next_fit(r, dur), "ready {} r {}", ready, r);
+        }
+    }
+}

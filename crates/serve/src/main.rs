@@ -105,8 +105,24 @@ fn main() {
 /// Lines pipe mode answers per dispatch onto the solver pool.
 const PIPE_BATCH: usize = 64;
 
-/// Pipe mode: batch stdin lines, answer in order, exit at EOF.
+/// Pipe mode: batch stdin lines, answer in order, exit at EOF. A reader
+/// that goes away ends pipe mode quietly, since nobody can read the
+/// remaining replies; any other stdout error fails with one line on
+/// stderr.
 fn serve_pipe(service: &Service, opts: &Opts) {
+    if let Err(e) = answer_pipe(service) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("ltf-serve: stdout: {e}");
+            exit(1);
+        }
+    }
+    if opts.stats {
+        eprintln!("{}", to_line(&service.stats_report()));
+    }
+}
+
+/// Answer stdin's lines on stdout until EOF or the first stdout error.
+fn answer_pipe(service: &Service) -> std::io::Result<()> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
@@ -115,14 +131,14 @@ fn serve_pipe(service: &Service, opts: &Opts) {
     // the lines read before it.
     let mut flush = |batch: &mut Vec<String>, tail: Option<Reject>| {
         let replies = service.handle_lines(batch);
+        batch.clear();
         for resp in replies
             .into_iter()
             .chain(tail.map(|why| service.reject(why)))
         {
-            writeln!(out, "{resp}").expect("stdout");
+            writeln!(out, "{resp}")?;
         }
-        out.flush().expect("stdout");
-        batch.clear();
+        out.flush()
     };
     for line in Lines::new(stdin.lock(), service.line_limit()) {
         match line.expect("stdin") {
@@ -130,18 +146,16 @@ fn serve_pipe(service: &Service, opts: &Opts) {
             Line::Text(line) => {
                 batch.push(line);
                 if batch.len() >= PIPE_BATCH {
-                    flush(&mut batch, None);
+                    flush(&mut batch, None)?;
                 }
             }
-            Line::Rejected(why) => flush(&mut batch, Some(why)),
+            Line::Rejected(why) => flush(&mut batch, Some(why))?,
         }
     }
     if !batch.is_empty() {
-        flush(&mut batch, None);
+        flush(&mut batch, None)?;
     }
-    if opts.stats {
-        eprintln!("{}", to_line(&service.stats_report()));
-    }
+    Ok(())
 }
 
 /// TCP mode: bind `addr`, announce it, and serve connections forever.

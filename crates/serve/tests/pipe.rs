@@ -1,7 +1,8 @@
 //! Pipe mode of the real `ltf-serve` binary: every stdin line draws one
-//! stdout line, a line that is not UTF-8 included.
+//! stdout line, a line that is not UTF-8 included, and a reader that goes
+//! away ends the daemon quietly.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
 const NOT_UTF8_REPLY: &str = r#"{"id":null,"status":"error","kind":"parse","heuristic":null,"message":"request line is not valid UTF-8"}"#;
@@ -52,4 +53,42 @@ fn a_rejected_line_is_counted_in_line_order() {
     assert_eq!(got.len(), 2, "{got:?}");
     assert!(got[0].contains(r#""errors":0,"#), "{}", got[0]);
     assert_eq!(got[1], NOT_UTF8_REPLY);
+}
+
+/// A reader that goes away ends pipe mode quietly: exit status 0 and
+/// nothing on stderr, although replies were still due. The first full
+/// batch is answered before the reader leaves.
+#[test]
+fn closed_reader_ends_pipe_mode_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ltf-serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let line = b"{\"cmd\":\"heuristics\"}\n";
+    for _ in 0..64 {
+        stdin.write_all(line).expect("write stdin");
+    }
+    stdin.flush().expect("flush stdin");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first reply");
+    assert!(
+        first.starts_with(r#"{"status":"ok","heuristics""#),
+        "{first}"
+    );
+    // The reader is gone; the daemon may exit before it reads all of these.
+    for _ in 64..300 {
+        if stdin.write_all(line).is_err() {
+            break;
+        }
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("ltf-serve exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -10,7 +10,9 @@
 //!
 //! Scope note: both paths share the overlay probe, the bucketed interval
 //! index and the stage fast path, so these tests isolate the
-//! journal/rollback/replay machinery. The shared layers are differentially
+//! journal/rollback/replay machinery and the candidate scans: the
+//! production path probes only the candidates that `Engine::probe_bound`
+//! leaves able to win, while the reference probes every processor. The shared layers are differentially
 //! pinned against naive recomputation by the property tests
 //! (`ltf-schedule/tests/interval_index_props.rs`,
 //! `ltf-core/tests/prio_props.rs`) and by the debug assertion in
