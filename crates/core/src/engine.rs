@@ -763,8 +763,10 @@ impl<'a> Engine<'a> {
                 // receive port and every link on its route for one common
                 // window. Generalizes `earliest_common_fit`'s fixpoint to
                 // n timelines: sweep all of them until a full pass leaves
-                // the candidate unchanged — each `next_fit` is monotone,
-                // so the first stationary point is the least common fit.
+                // the candidate unchanged. The stationary point is a common
+                // fit at or after the producer's finish; as `next_fit` is
+                // not monotone, a start within 2·EPS of a busy interval's
+                // end can be passed over, so it need not be the least.
                 ws.route_slots.clear();
                 for &l in route {
                     let li = ws.link_slot(l.index());

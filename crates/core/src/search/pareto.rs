@@ -79,7 +79,7 @@ use crate::solver::{Heuristic, Solution, Solver};
 use ltf_graph::TaskGraph;
 use ltf_platform::Platform;
 use ltf_schedule::Schedule;
-use serde::Serialize;
+use serde::{Serialize, Sink};
 
 /// The four objective values of one point of the front. Latency, period
 /// and processor count are minimized; ε is maximized.
@@ -165,30 +165,19 @@ impl ParetoPoint {
 }
 
 impl Serialize for ParetoPoint {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![(
-            "heuristic".to_string(),
-            serde::Value::Str(self.heuristic.clone()),
-        )];
-        match self.objectives.to_value() {
-            serde::Value::Map(m) => fields.extend(m),
-            other => fields.push(("objectives".to_string(), other)),
-        }
-        fields.push((
-            "throughput".to_string(),
-            serde::Value::Float(self.objectives.throughput()),
-        ));
-        fields.push((
-            "platform_procs".to_string(),
-            serde::Value::UInt(self.platform_procs as u64),
-        ));
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.entry("heuristic", &self.heuristic);
+        serde::serialize_fields(&self.objectives, s);
+        s.entry("throughput", &self.objectives.throughput());
+        s.entry("platform_procs", &self.platform_procs);
         // Only routed platforms measure link utilization; matrix-platform
         // output keeps the wire form it had before routed platforms.
         if let Some(u) = self.link_utilization {
-            fields.push(("link_utilization".to_string(), serde::Value::Float(u)));
+            s.entry("link_utilization", &u);
         }
-        fields.push(("solution".to_string(), self.solution.to_value()));
-        serde::Value::Map(fields)
+        s.entry("solution", &self.solution);
+        s.end_map();
     }
 }
 

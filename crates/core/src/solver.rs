@@ -257,17 +257,12 @@ impl Solution {
     }
 }
 
-impl serde::Serialize for Solution {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![(
-            "heuristic".to_string(),
-            serde::Value::Str(self.heuristic.clone()),
-        )];
-        match self.metrics.to_value() {
-            serde::Value::Map(m) => fields.extend(m),
-            other => fields.push(("metrics".to_string(), other)),
-        }
-        serde::Value::Map(fields)
+impl Serialize for Solution {
+    fn serialize<S: serde::Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.entry("heuristic", &self.heuristic);
+        serde::serialize_fields(&self.metrics, s);
+        s.end_map();
     }
 }
 

@@ -26,7 +26,7 @@
 //! rejected and recomputed rather than half-read.
 
 use ltf_core::par::parallel_map;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, Write};
@@ -185,11 +185,11 @@ struct Record<'a, T: ?Sized> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Record<'_, T> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("key".to_string(), Value::Str(self.key.to_string())),
-            ("record".to_string(), self.payload.to_value()),
-        ])
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.entry("key", self.key);
+        s.entry("record", self.payload);
+        s.end_map();
     }
 }
 

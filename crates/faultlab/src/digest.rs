@@ -21,7 +21,7 @@
 //! the total, extrema finite and consistent), so a corrupted journal record
 //! is rejected instead of silently skewing a report.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// Mantissa bits per octave: 2^5 = 32 sub-buckets, ≈3.1% relative width.
 pub const SUB_BITS: u32 = 5;
@@ -169,20 +169,19 @@ impl LatencyDigest {
 }
 
 impl Serialize for LatencyDigest {
-    fn to_value(&self) -> Value {
-        let sparse: Vec<(u64, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (b as u64, c))
-            .collect();
-        Value::Map(vec![
-            ("buckets".to_string(), sparse.to_value()),
-            ("count".to_string(), Value::UInt(self.total)),
-            ("min".to_string(), self.min.to_value()),
-            ("max".to_string(), self.max.to_value()),
-        ])
+    /// Only the non-empty buckets, as `[index, count]` pairs.
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.key("buckets");
+        s.begin_seq();
+        for (b, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            (b, c).serialize(s);
+        }
+        s.end_seq();
+        s.entry("count", &self.total);
+        s.entry("min", &self.min);
+        s.entry("max", &self.max);
+        s.end_map();
     }
 }
 

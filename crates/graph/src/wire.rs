@@ -15,7 +15,7 @@
 
 use crate::graph::{Edge, TaskGraph};
 use crate::ids::TaskId;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// One task of the wire form: display name plus execution weight `E(t)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,29 +38,31 @@ struct GraphSpec {
     edges: Vec<EdgeSpec>,
 }
 
+/// The module's wire form, emitted without building a `GraphSpec` copy.
 impl Serialize for TaskGraph {
-    fn to_value(&self) -> Value {
-        let spec = GraphSpec {
-            tasks: self
-                .tasks()
-                .map(|t| TaskSpec {
-                    name: self.name(t).to_string(),
-                    exec: self.exec(t),
-                })
-                .collect(),
-            edges: self
-                .edge_ids()
-                .map(|id| {
-                    let e = self.edge(id);
-                    EdgeSpec {
-                        src: e.src.0,
-                        dst: e.dst.0,
-                        volume: e.volume,
-                    }
-                })
-                .collect(),
-        };
-        spec.to_value()
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.key("tasks");
+        s.begin_seq();
+        for t in self.tasks() {
+            s.begin_map();
+            s.entry("name", self.name(t));
+            s.entry("exec", &self.exec(t));
+            s.end_map();
+        }
+        s.end_seq();
+        s.key("edges");
+        s.begin_seq();
+        for id in self.edge_ids() {
+            let e = self.edge(id);
+            s.begin_map();
+            s.entry("src", &e.src.0);
+            s.entry("dst", &e.dst.0);
+            s.entry("volume", &e.volume);
+            s.end_map();
+        }
+        s.end_seq();
+        s.end_map();
     }
 }
 

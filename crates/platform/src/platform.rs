@@ -84,41 +84,25 @@ impl serde::Serialize for Platform {
     /// form bit-for-bit; routed (contended) platforms emit the
     /// `{"speeds", "topology"}` form instead, so link identity survives
     /// the round-trip.
-    fn to_value(&self) -> serde::Value {
-        let speeds = (
-            String::from("speeds"),
-            serde::Serialize::to_value(&self.speeds),
-        );
+    fn serialize<S: serde::Sink>(&self, s: &mut S) {
+        s.begin_map();
+        s.entry("speeds", &self.speeds);
         match self.route_table() {
-            None => serde::Value::Map(vec![
-                speeds,
-                (
-                    String::from("delays"),
-                    serde::Serialize::to_value(&self.delays),
-                ),
-            ]),
+            None => s.entry("delays", &self.delays),
             Some(table) => {
-                let links = table
-                    .links()
-                    .iter()
-                    .map(|l| {
-                        serde::Value::Seq(vec![
-                            serde::Value::UInt(l.a as u64),
-                            serde::Value::UInt(l.b as u64),
-                            serde::Value::Float(l.delay),
-                        ])
-                    })
-                    .collect();
-                let topo = serde::Value::Map(vec![
-                    (String::from("links"), serde::Value::Seq(links)),
-                    (
-                        String::from("model"),
-                        serde::Serialize::to_value(&CommMode::Contended),
-                    ),
-                ]);
-                serde::Value::Map(vec![speeds, (String::from("topology"), topo)])
+                s.key("topology");
+                s.begin_map();
+                s.key("links");
+                s.begin_seq();
+                for l in table.links() {
+                    (l.a, l.b, l.delay).serialize(s);
+                }
+                s.end_seq();
+                s.entry("model", &CommMode::Contended);
+                s.end_map();
             }
         }
+        s.end_map();
     }
 }
 

@@ -20,8 +20,11 @@
 
 use crate::EPS;
 
-/// Earliest `τ ≥ ready` such that `[τ, τ + dur)` fits the gap structure of
-/// the sorted, non-overlapping interval slice `ivs`.
+/// The start of the first gap of the sorted, non-overlapping interval
+/// slice `ivs`, walking forward from `ready`, that holds `[τ, τ + dur)`.
+/// The result fits and is at least `ready`. It is the least such `τ`,
+/// except that a start within `2·EPS` of a busy interval's end can be
+/// passed over (see [`IntervalSet::fit_lower_bound`]).
 ///
 /// Shared by [`IntervalSet::next_fit`] and [`OverlayView`]'s delta scan so
 /// both apply bit-identical `EPS` boundary rules.
@@ -67,7 +70,9 @@ fn insert_sorted(ivs: &mut Vec<(f64, f64)>, start: f64, end: f64) {
 /// the plain [`IntervalSet`] and the probe-time [`OverlayView`], so
 /// [`earliest_common_fit`] composes either form.
 pub trait BusyTimeline {
-    /// Earliest `τ ≥ ready` such that `[τ, τ + dur)` is free.
+    /// A `τ ≥ ready` such that `[τ, τ + dur)` is free: the least one,
+    /// except that a start within `2·EPS` of a busy interval's end can be
+    /// passed over.
     fn next_fit(&self, ready: f64, dur: f64) -> f64;
 }
 
@@ -117,7 +122,10 @@ impl IntervalSet {
         }
     }
 
-    /// Earliest `τ ≥ ready` such that `[τ, τ + dur)` is free.
+    /// The first `τ ≥ ready`, walking forward gap by gap, such that
+    /// `[τ, τ + dur)` is free. It is the least free start except that one
+    /// within `2·EPS` of a busy interval's end can be passed over: `next_fit`
+    /// is not monotone in `ready` ([`IntervalSet::fit_lower_bound`]).
     pub fn next_fit(&self, ready: f64, dur: f64) -> f64 {
         if dur <= EPS {
             return ready;
@@ -215,10 +223,12 @@ impl<'a> OverlayView<'a> {
 }
 
 impl BusyTimeline for OverlayView<'_> {
-    /// Earliest fit in the union of base and delta: alternate per-layer
-    /// fits until a common fixpoint, exactly the [`earliest_common_fit`]
-    /// argument — the result is the least `τ` admissible to both layers,
-    /// hence identical to a fit against the merged set.
+    /// A fit in the union of base and delta: alternate per-layer fits
+    /// until both accept the same start, as [`earliest_common_fit`] does.
+    /// The result is free in both layers and at least `ready`; like each
+    /// layer's fit, it is the least such start except that one within
+    /// `2·EPS` of a busy interval's end can be passed over, so it need not
+    /// equal a fit against the merged set.
     fn next_fit(&self, ready: f64, dur: f64) -> f64 {
         if dur <= EPS {
             return ready;
@@ -277,13 +287,18 @@ impl OverlayDelta {
     }
 }
 
-/// Earliest `τ ≥ ready` such that `[τ, τ + dur)` is simultaneously free in
-/// both timelines (used to co-reserve a send port and a receive port for
-/// one message). Alternates `next_fit` queries until a fixpoint is reached.
+/// A `τ ≥ ready` such that `[τ, τ + dur)` is free in both timelines (to
+/// within `EPS`), used to co-reserve a send port and a receive port for
+/// one message. Alternates `next_fit` queries until neither moves the
+/// start by more than `EPS`. Generic over [`BusyTimeline`] so plain sets
+/// and probe-time overlays compose.
 ///
-/// Generic over [`BusyTimeline`] so plain sets and probe-time overlays
-/// compose: the fixpoint of monotone "next admissible point" operators is
-/// the least common admissible point regardless of layering.
+/// The result is a common fit, but not always the least one: `next_fit`
+/// is not monotone in `ready` ([`IntervalSet::fit_lower_bound`]), so a
+/// start within `2·EPS` of a busy interval's end can be passed over. With
+/// busy intervals `[0, 10)` and `[10.9999987, 20)` against an empty
+/// timeline, a 1-long message ready at 5 fits at 20, although
+/// `10 − 0.5·EPS` fits both timelines.
 pub fn earliest_common_fit<A: BusyTimeline + ?Sized, B: BusyTimeline + ?Sized>(
     a: &A,
     b: &B,
@@ -398,6 +413,9 @@ mod tests {
         assert_eq!(s.next_fit(5.0, 1.0), 20.0);
         assert_eq!(s.next_fit(late, 1.0), late);
         assert_eq!(s.fit_lower_bound(5.0, 1.0), 10.0 - 2.0 * EPS);
+        // So the common fit from 5 is not the least: `late` fits both
+        // timelines, yet the fixpoint passes it over.
+        assert_eq!(earliest_common_fit(&s, &IntervalSet::new(), 5.0, 1.0), 20.0);
         // Free time and a fitting gap: the bound is the fit itself.
         assert_eq!(s.fit_lower_bound(25.0, 3.0), s.next_fit(25.0, 3.0));
         s.remove(10.999_998_7, 20.0);

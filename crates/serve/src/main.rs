@@ -107,22 +107,25 @@ const PIPE_BATCH: usize = 64;
 
 /// Pipe mode: batch stdin lines, answer in order, exit at EOF. A reader
 /// that goes away ends pipe mode quietly, since nobody can read the
-/// remaining replies; any other stdout error fails with one line on
-/// stderr.
+/// remaining replies. A stdin read error answers the lines read before it;
+/// it and any other stdout error fail with one line on stderr.
 fn serve_pipe(service: &Service, opts: &Opts) {
-    if let Err(e) = answer_pipe(service) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("ltf-serve: stdout: {e}");
+    match answer_pipe(service) {
+        Err(("stdout", e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err((stream, e)) => {
+            eprintln!("ltf-serve: {stream}: {e}");
             exit(1);
         }
+        Ok(()) => {}
     }
     if opts.stats {
         eprintln!("{}", to_line(&service.stats_report()));
     }
 }
 
-/// Answer stdin's lines on stdout until EOF or the first stdout error.
-fn answer_pipe(service: &Service) -> std::io::Result<()> {
+/// Answer stdin's lines on stdout until EOF, the first stdin error or the
+/// first stdout error; an error comes with the name of its stream.
+fn answer_pipe(service: &Service) -> Result<(), (&'static str, std::io::Error)> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
@@ -136,26 +139,31 @@ fn answer_pipe(service: &Service) -> std::io::Result<()> {
             .into_iter()
             .chain(tail.map(|why| service.reject(why)))
         {
-            writeln!(out, "{resp}")?;
+            writeln!(out, "{resp}").map_err(|e| ("stdout", e))?;
         }
-        out.flush()
+        out.flush().map_err(|e| ("stdout", e))
     };
+    let mut read_error = None;
     for line in Lines::new(stdin.lock(), service.line_limit()) {
-        match line.expect("stdin") {
-            Line::Text(line) if line.trim().is_empty() => {}
-            Line::Text(line) => {
+        match line {
+            Ok(Line::Text(line)) if line.trim().is_empty() => {}
+            Ok(Line::Text(line)) => {
                 batch.push(line);
                 if batch.len() >= PIPE_BATCH {
                     flush(&mut batch, None)?;
                 }
             }
-            Line::Rejected(why) => flush(&mut batch, Some(why))?,
+            Ok(Line::Rejected(why)) => flush(&mut batch, Some(why))?,
+            Err(e) => {
+                read_error = Some(("stdin", e));
+                break;
+            }
         }
     }
     if !batch.is_empty() {
         flush(&mut batch, None)?;
     }
-    Ok(())
+    read_error.map_or(Ok(()), Err)
 }
 
 /// TCP mode: bind `addr`, announce it, and serve connections forever.

@@ -1,7 +1,9 @@
 //! Pipe mode of the real `ltf-serve` binary: every stdin line draws one
-//! stdout line, a line that is not UTF-8 included, and a reader that goes
-//! away ends the daemon quietly.
+//! stdout line, a line that is not UTF-8 included, a reader that goes
+//! away ends the daemon quietly, and a stdin that cannot be read ends it
+//! with one error line.
 
+use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
@@ -91,4 +93,21 @@ fn closed_reader_ends_pipe_mode_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// A stdin that fails to read (here a directory) is one line on stderr and
+/// exit status 1, not a panic.
+#[test]
+fn unreadable_stdin_is_one_error_line() {
+    let dir = File::open(env!("CARGO_MANIFEST_DIR")).expect("open the crate directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
+        .stdin(Stdio::from(dir))
+        .output()
+        .expect("run ltf-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("ltf-serve: stdin:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
