@@ -1,6 +1,5 @@
 //! The service engine: parses request lines, answers repeats from its
-//! caches, and dispatches the remaining solves onto the shared
-//! `ltf_core::par` pool.
+//! caches, and solves the rest.
 //!
 //! # Caches
 //!
@@ -19,13 +18,11 @@
 //!
 //! # Determinism
 //!
-//! [`Service::handle_lines`] is *serially equivalent*: responses, cache
-//! contents, eviction order and hit/miss counters (the verdict cache's
-//! included) are exactly what a line-at-a-time loop would produce,
-//! regardless of batch size or thread count. Cache decisions and
-//! mutations happen serially in line order; only the (deterministic,
-//! pure) solve calls in between run in parallel. Service *times* are the
-//! one non-deterministic output, and they only ever appear in
+//! [`Service::handle_line`] is the one request path, and the caches are
+//! transparent: a reply equals the reply of a service without caches,
+//! except that a reply served from the solution cache says
+//! `"cached":true` (`tests/lru_props.rs`). Service *times* are the one
+//! non-deterministic output, and they only ever appear in
 //! `{"cmd":"stats"}` replies — solve responses are bit-stable, which is
 //! what makes pipe-mode golden tests possible.
 //!
@@ -36,11 +33,11 @@
 //! the caches and the counters, and it is held only for cache lookups,
 //! inserts and updates and counter updates: parsing, fingerprinting,
 //! solving, shard compute and reply encoding run outside it, in parallel
-//! across callers. Serial equivalence holds for a single caller; with
-//! several, `cached` and the counters reflect how their lines actually
-//! interleaved (two callers missing on one key both solve it), while the
-//! solution or error in each reply is the one a serial run gives, because
-//! solves are pure.
+//! across callers. A single caller's `cached` flags and counters are
+//! those of its lines in order; with several, they reflect how their
+//! lines actually interleaved (two callers missing on one key both solve
+//! it), while the solution or error in each reply is the one a serial run
+//! gives, because solves are pure.
 
 use crate::cache::{CacheKey, LruCache};
 use crate::lines::Reject;
@@ -49,18 +46,18 @@ use crate::proto::{
 };
 use crate::stats::{ServiceStats, StatsReport};
 use ltf_baselines::{full_solver, FULL};
-use ltf_core::par::{parallel_map, resolve_threads};
+use ltf_core::par::resolve_threads;
 use ltf_core::shard::Shard;
 use ltf_core::{lookup, AlgoConfig, MAX_PROCS};
 use serde::{Serialize, Value};
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads for batched solves; `0` = all cores.
+    /// Worker threads for a shard request's compute; `0` = all cores.
+    /// Each solve request is solved on its caller's thread.
     pub threads: usize,
     /// Capacity of each LRU, in cached solutions and in cached failed
     /// verdicts; `0` disables caching.
@@ -147,40 +144,22 @@ enum Cached {
     Text(Arc<str>),
 }
 
-/// A solve line after the serial decode pass.
+/// A decoded solve line, ready for the caches.
 struct SolveSlot {
     req: Box<SolveRequest>,
     cfg: AlgoConfig,
     canonical: String,
     key: CacheKey,
-    /// Whether the batch's parallel pass solves this line: its key was in
-    /// neither cache and no earlier line of the batch carries it.
-    primary: bool,
-    /// Microseconds spent decoding and classifying the line.
+    /// Microseconds spent decoding the line.
     decode_us: u64,
 }
 
-/// One line's fate after the serial decode pass.
+/// One line after decoding.
 enum Slot {
     /// Response already final (control reply or error).
     Done(String),
-    /// Needs the cache/solve resolution pass.
+    /// Needs the caches or a solve.
     Solve(SolveSlot),
-}
-
-/// A solve's outcome (error id and heuristic still unset) and its
-/// duration in microseconds.
-type Solved = (Result<SolutionWire, ErrResponse>, u64);
-
-/// Solve one request from scratch. Runs without the service lock.
-fn solve(req: &SolveRequest, canonical: &str, cfg: &AlgoConfig) -> Solved {
-    let t0 = Instant::now();
-    let solver = full_solver(&req.graph, &req.platform);
-    let outcome = match solver.solve(canonical, cfg) {
-        Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
-        Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
-    };
-    (outcome, t0.elapsed().as_micros() as u64)
 }
 
 impl Service {
@@ -234,12 +213,6 @@ impl Service {
         )
     }
 
-    /// The cached keys from least- to most-recently used, as a snapshot
-    /// (tests, introspection).
-    pub fn cached_keys(&self) -> Vec<CacheKey> {
-        self.shared().cache.keys_lru_first().cloned().collect()
-    }
-
     /// Longest request line the transports accept
     /// ([`ServiceConfig::line_limit`]).
     pub fn line_limit(&self) -> usize {
@@ -265,69 +238,26 @@ impl Service {
 
     /// Answer one request line. Never panics on malformed input; every
     /// line gets exactly one response line.
-    pub fn handle_line(&self, line: &str) -> String {
-        self.handle_lines(std::slice::from_ref(&line))
-            .pop()
-            .expect("one response per line")
-    }
-
-    /// Answer a batch of request lines, one response per line, in order.
-    /// Cache misses within the batch are solved concurrently on the
-    /// `ltf_core::par` pool; everything observable is serially
-    /// equivalent (see the module docs).
     ///
     /// ```
     /// use ltf_serve::{Service, ServiceConfig};
     ///
     /// let svc = Service::new(ServiceConfig::default());
-    /// let replies = svc.handle_lines(&[
-    ///     r#"{"cmd":"heuristics"}"#,
-    ///     "definitely not json",
-    /// ]);
-    /// // One reply per line, in order; a bad line yields a structured
-    /// // error instead of poisoning the batch.
-    /// assert_eq!(replies.len(), 2);
-    /// assert!(replies[0].contains(r#""status":"ok""#));
-    /// assert!(replies[1].contains(r#""kind":"parse""#));
+    /// let ok = svc.handle_line(r#"{"cmd":"heuristics"}"#);
+    /// assert!(ok.contains(r#""status":"ok""#));
+    /// // A bad line yields a structured error, and the service goes on.
+    /// let bad = svc.handle_line("definitely not json");
+    /// assert!(bad.contains(r#""kind":"parse""#));
+    /// assert_eq!(svc.stats_report().errors, 1);
     /// ```
-    pub fn handle_lines<S: AsRef<str>>(&self, lines: &[S]) -> Vec<String> {
-        // Pass 1 (serial, line order): decode, classify, and decide which
-        // lines need a fresh solve. `pending` de-duplicates identical
-        // misses inside the batch: the serial replay would solve the
-        // first and answer the rest from a cache.
-        let mut pending = HashSet::new();
-        let slots: Vec<Slot> = lines
-            .iter()
-            .map(|line| self.classify(line.as_ref(), &mut pending))
-            .collect();
-
-        // Pass 2 (parallel): the actual scheduling work.
-        let primaries: Vec<&SolveSlot> = slots
-            .iter()
-            .filter_map(|slot| match slot {
-                Slot::Solve(s) if s.primary => Some(s),
-                _ => None,
-            })
-            .collect();
-        let threads = resolve_threads(self.config.threads);
-        let mut solved =
-            parallel_map(&primaries, threads, |s| solve(&s.req, &s.canonical, &s.cfg)).into_iter();
-
-        // Pass 3 (serial, line order): cache counters, insertions and
-        // response assembly — the order-sensitive part.
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Done(line) => line,
-                Slot::Solve(s) => {
-                    let fresh = if s.primary { solved.next() } else { None };
-                    self.resolve(s, fresh)
-                }
-            })
-            .collect()
+    pub fn handle_line(&self, line: &str) -> String {
+        match self.decode(line) {
+            Slot::Done(reply) => reply,
+            Slot::Solve(s) => self.resolve(s),
+        }
     }
 
-    fn classify(&self, line: &str, pending: &mut HashSet<CacheKey>) -> Slot {
+    fn decode(&self, line: &str) -> Slot {
         let t0 = Instant::now();
         let req = match parse_request(line) {
             Ok(Request::Stats) => {
@@ -405,17 +335,11 @@ impl Service {
             Err(msg) => return err("bad-request", Some(canonical), msg),
         };
         let key = CacheKey::new(&req.graph, &req.platform, &canonical, &cfg);
-        let cached = {
-            let shared = self.shared();
-            shared.cache.contains(&key) || shared.verdicts.contains(&key)
-        };
-        let primary = !cached && pending.insert(key.clone());
         Slot::Solve(SolveSlot {
             req,
             cfg,
             canonical,
             key,
-            primary,
             decode_us: t0.elapsed().as_micros() as u64,
         })
     }
@@ -468,9 +392,9 @@ impl Service {
         }
     }
 
-    /// Answer one solve line from a cache, from its `fresh` outcome (a
-    /// primary's parallel solve), or by solving it inline.
-    fn resolve(&self, s: SolveSlot, fresh: Option<Solved>) -> String {
+    /// Answer one solve line from a cache, or solve it and cache the
+    /// outcome.
+    fn resolve(&self, s: SolveSlot) -> String {
         let id = s.req.id;
         // A block of its own, so the lock is released before encoding.
         let found = {
@@ -501,18 +425,21 @@ impl Service {
             }
             None => {}
         }
-        // Missed both caches (each miss counted by its failed `get`).
-        // Either this line is its key's primary, or the key's entry was
-        // evicted by batch-mates' (or other callers') inserts after the
-        // classification pass — then the serial replay would re-solve, so
-        // do exactly that inline (deterministic), outside the lock.
-        let (outcome, solve_us) = fresh.unwrap_or_else(|| solve(&s.req, &s.canonical, &s.cfg));
+        // Missed both caches (each miss counted by its failed `get`):
+        // solve from scratch, outside the lock.
+        let t0 = Instant::now();
+        let solver = full_solver(&s.req.graph, &s.req.platform);
+        let outcome = match solver.solve(&s.canonical, &s.cfg) {
+            Ok(sol) => Ok(SolutionWire::from_solution(&sol)),
+            Err(d) => Err(ErrResponse::from_diagnostics(None, &d)),
+        };
+        let us = s.decode_us + t0.elapsed().as_micros() as u64;
         match outcome {
             Ok(wire) => {
                 let line = ok_line(id, false, &to_line(&wire));
                 let mut shared = self.shared();
                 shared.cache.insert(s.key, Cached::Wire(Arc::new(wire)));
-                shared.stats.record_ok(&s.canonical, s.decode_us + solve_us);
+                shared.stats.record_ok(&s.canonical, us);
                 line
             }
             Err(mut err) => {
@@ -520,7 +447,7 @@ impl Service {
                 {
                     let mut shared = self.shared();
                     shared.verdicts.insert(s.key, err.clone());
-                    shared.stats.record_error(&err.kind, s.decode_us + solve_us);
+                    shared.stats.record_error(&err.kind, us);
                 }
                 err.id = id;
                 to_line(&err)
@@ -538,7 +465,13 @@ mod tests {
         let svc = Service::new(ServiceConfig::default());
         let line = r#"{"id":3,"heuristic":"rltf","graph":{"tasks":[{"name":"a","exec":2.0},{"name":"b","exec":3.0}],"edges":[{"src":0,"dst":1,"volume":1.0}]},"platform":{"speeds":[1.0,1.0],"delays":[0.0,0.5,0.5,0.0]},"config":{"epsilon":1,"period":30.0}}"#;
         let miss = svc.handle_line(line);
-        let key = svc.cached_keys().pop().expect("the solution was cached");
+        let key = svc
+            .shared()
+            .cache
+            .keys_lru_first()
+            .next()
+            .cloned()
+            .expect("the solution was cached");
         let entry = || svc.shared().cache.get(&key).expect("still cached");
         assert!(matches!(entry(), Cached::Wire(_)));
         // The first hit encodes the solution, the next two reuse its text.

@@ -9,10 +9,11 @@
 //! formats are specified in `docs/protocol.md` at the repo root.
 //!
 //! * [`proto`] — the wire protocol: request/response types and parsing,
-//! * [`engine`] — the [`Service`]: batched, serially equivalent request
-//!   handling over the `ltf_core::par` pool, shareable between threads,
+//! * [`engine`] — the [`Service`]: one request path, [`Service::handle_line`],
+//!   shareable between threads,
 //! * [`tcp`] — the TCP accept loop, one thread per connection,
-//! * [`lines`] — the bounded request-line reader of both transports,
+//! * [`lines`] — the request-line loop of both transports
+//!   ([`lines::answer`]) and its bounded line reader,
 //! * [`cache`] — the [`LruCache`] and instance fingerprints,
 //! * [`stats`] — service-time percentiles and outcome counters.
 //!
@@ -31,8 +32,9 @@
 //!   input line gets exactly one response line, errors included
 //!   (`tests/protocol_errors.rs`).
 //! * **Responses are bit-stable** — timings appear only in `stats`
-//!   replies, batching is serially equivalent, so piped output diffs
-//!   cleanly against committed goldens (`tests/golden/`).
+//!   replies, and the caches change no reply but its `cached` flag, so
+//!   piped output diffs cleanly against committed goldens
+//!   (`tests/golden/`).
 
 pub mod cache;
 pub mod engine;

@@ -1,4 +1,6 @@
-//! The bounded request-line reader both transports use.
+//! The request-line loop both transports run, and its bounded line
+//! reader. A pipe-mode daemon runs [`answer`] on stdin and stdout, the
+//! TCP transport on each connection.
 //!
 //! `BufRead::lines()` buffers a whole line before anyone looks at it, so
 //! one endless line grows the daemon's memory without limit, and it ends
@@ -10,7 +12,43 @@
 //! answer in its place ([`crate::Service::reject`]), and reading goes on
 //! with the next line.
 
-use std::io::{self, BufRead, Read};
+use crate::Service;
+use std::io::{self, BufRead, Read, Write};
+
+/// The side of an [`answer`] loop that failed.
+#[derive(Debug)]
+pub enum Failed {
+    /// Reading a request line failed.
+    Read(io::Error),
+    /// Writing a reply failed.
+    Write(io::Error),
+}
+
+/// Answer `input`'s request lines on `output` until `input` ends. Blank
+/// lines are skipped; every other line gets one reply line, from
+/// [`Service::handle_line`] or, for a line over [`Service::line_limit`]
+/// or not in UTF-8, from [`Service::reject`]. Each reply goes out with
+/// its newline in one `write_all`, and is flushed before the next line is
+/// read, so a client may wait for each reply before it sends more.
+pub fn answer(
+    service: &Service,
+    input: impl BufRead,
+    mut output: impl Write,
+) -> Result<(), Failed> {
+    for line in Lines::new(input, service.line_limit()) {
+        let mut reply = match line.map_err(Failed::Read)? {
+            Line::Text(line) if line.trim().is_empty() => continue,
+            Line::Text(line) => service.handle_line(&line),
+            Line::Rejected(why) => service.reject(why),
+        };
+        reply.push('\n');
+        output
+            .write_all(reply.as_bytes())
+            .and_then(|()| output.flush())
+            .map_err(Failed::Write)?;
+    }
+    Ok(())
+}
 
 /// One line of input.
 #[derive(Debug, PartialEq, Eq)]

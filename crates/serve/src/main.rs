@@ -15,17 +15,16 @@
 //!                  and print the service-time percentiles to stderr
 //! ```
 //!
-//! Pipe mode batches up to 64 lines per dispatch onto the solver pool;
-//! responses stay in request order and are bit-stable across runs, so
-//! piped output can be diffed against goldens. `--stats` prints a final
-//! statistics report to *stderr* at EOF (stderr so the stdout stream
-//! stays golden-diffable).
+//! Pipe mode answers each line before it reads the next, as one TCP
+//! connection does; responses are bit-stable across runs, so piped output
+//! can be diffed against goldens. `--threads` sets the thread count of
+//! shard compute. `--stats` prints a final statistics report to *stderr*
+//! at EOF (stderr so the stdout stream stays golden-diffable).
 
 use ltf_experiments::take;
-use ltf_serve::lines::{Line, Lines, Reject};
+use ltf_serve::lines::{answer, Failed};
 use ltf_serve::proto::to_line;
 use ltf_serve::{Service, ServiceConfig};
-use std::io::Write;
 use std::process::exit;
 
 #[derive(Debug, Clone)]
@@ -102,68 +101,24 @@ fn main() {
     }
 }
 
-/// Lines pipe mode answers per dispatch onto the solver pool.
-const PIPE_BATCH: usize = 64;
-
-/// Pipe mode: batch stdin lines, answer in order, exit at EOF. A reader
-/// that goes away ends pipe mode quietly, since nobody can read the
-/// remaining replies. A stdin read error answers the lines read before it;
-/// it and any other stdout error fail with one line on stderr.
+/// Pipe mode: answer stdin's lines on stdout, exit at EOF. A reader that
+/// goes away ends pipe mode quietly, since nobody can read the remaining
+/// replies. A stdin read error (after the lines read before it are
+/// answered) and any other stdout error fail with one line on stderr.
 fn serve_pipe(service: &Service, opts: &Opts) {
-    match answer_pipe(service) {
-        Err(("stdout", e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
-        Err((stream, e)) => {
-            eprintln!("ltf-serve: {stream}: {e}");
-            exit(1);
-        }
-        Ok(()) => {}
+    let failed = match answer(service, std::io::stdin().lock(), std::io::stdout().lock()) {
+        Ok(()) => None,
+        Err(Failed::Write(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => None,
+        Err(Failed::Read(e)) => Some(("stdin", e)),
+        Err(Failed::Write(e)) => Some(("stdout", e)),
+    };
+    if let Some((stream, e)) = failed {
+        eprintln!("ltf-serve: {stream}: {e}");
+        exit(1);
     }
     if opts.stats {
         eprintln!("{}", to_line(&service.stats_report()));
     }
-}
-
-/// Answer stdin's lines on stdout until EOF, the first stdin error or the
-/// first stdout error; an error comes with the name of its stream.
-fn answer_pipe(service: &Service) -> Result<(), (&'static str, std::io::Error)> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut batch = Vec::with_capacity(PIPE_BATCH);
-    // Answers the batch, then the rejected line `tail`, which must follow
-    // the lines read before it.
-    let mut flush = |batch: &mut Vec<String>, tail: Option<Reject>| {
-        let replies = service.handle_lines(batch);
-        batch.clear();
-        for resp in replies
-            .into_iter()
-            .chain(tail.map(|why| service.reject(why)))
-        {
-            writeln!(out, "{resp}").map_err(|e| ("stdout", e))?;
-        }
-        out.flush().map_err(|e| ("stdout", e))
-    };
-    let mut read_error = None;
-    for line in Lines::new(stdin.lock(), service.line_limit()) {
-        match line {
-            Ok(Line::Text(line)) if line.trim().is_empty() => {}
-            Ok(Line::Text(line)) => {
-                batch.push(line);
-                if batch.len() >= PIPE_BATCH {
-                    flush(&mut batch, None)?;
-                }
-            }
-            Ok(Line::Rejected(why)) => flush(&mut batch, Some(why))?,
-            Err(e) => {
-                read_error = Some(("stdin", e));
-                break;
-            }
-        }
-    }
-    if !batch.is_empty() {
-        flush(&mut batch, None)?;
-    }
-    read_error.map_or(Ok(()), Err)
 }
 
 /// TCP mode: bind `addr`, announce it, and serve connections forever.
@@ -202,8 +157,6 @@ fn soak(service: &Service, n: usize) -> i32 {
     let periods = [20.0, 30.0, 40.0, 60.0];
 
     let t0 = std::time::Instant::now();
-    let mut batch = Vec::with_capacity(64);
-    let mut served = 0usize;
     for i in 0..n {
         let (g, p) = if i % 2 == 0 {
             (&fig1_g, &fig1_p)
@@ -227,14 +180,11 @@ fn soak(service: &Service, n: usize) -> i32 {
                 cluster_ties: None,
             },
         };
-        batch.push(serde_json::to_string(&req).expect("soak request"));
-        if batch.len() == 64 || i + 1 == n {
-            served += service.handle_lines(&batch).len();
-            batch.clear();
-        }
+        service.handle_line(&serde_json::to_string(&req).expect("soak request"));
     }
     let elapsed = t0.elapsed();
     let report = service.stats_report();
+    let served = report.served as usize;
     eprintln!(
         "soak: {served} requests in {:.2}s ({:.0} req/s)",
         elapsed.as_secs_f64(),

@@ -190,7 +190,9 @@ pub fn parse_request(line: &str) -> Result<Request, (&'static str, String, Optio
 }
 
 /// Wire form of a [`Solution`]: the schedule travels as raw
-/// [`ScheduleData`] and is re-validated and re-assembled on arrival.
+/// [`ScheduleData`] and is shape-checked and re-assembled on arrival
+/// ([`SolutionWire::into_solution`]); checking its constraints with
+/// `ltf_schedule::validate` is the client's to do.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolutionWire {
     /// Canonical name of the producing heuristic.

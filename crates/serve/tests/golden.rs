@@ -78,7 +78,7 @@ fn requests() -> Vec<String> {
 fn golden_pipe_responses() {
     let lines = requests();
     let service = Service::new(ServiceConfig::default());
-    let responses = service.handle_lines(&lines);
+    let responses: Vec<String> = lines.iter().map(|l| service.handle_line(l)).collect();
     let requests_text = lines.join("\n") + "\n";
     let responses_text = responses.join("\n") + "\n";
 
@@ -111,7 +111,7 @@ fn golden_fixture_sanity() {
     // a cache hit, both error layers, and at least one success per
     // worked example.
     let service = Service::new(ServiceConfig::default());
-    let responses = service.handle_lines(&requests());
+    let responses: Vec<String> = requests().iter().map(|l| service.handle_line(l)).collect();
     assert!(responses.iter().any(|r| r.contains(r#""cached":true"#)));
     assert!(responses.iter().any(|r| r.contains(r#""cached":false"#)));
     for kind in ["unknown-heuristic", "bad-request", "parse", "infeasible"] {

@@ -1,11 +1,13 @@
 //! Pipe mode of the real `ltf-serve` binary: every stdin line draws one
-//! stdout line, a line that is not UTF-8 included, a reader that goes
-//! away ends the daemon quietly, and a stdin that cannot be read ends it
-//! with one error line.
+//! stdout line before the next line is read, a line that is not UTF-8
+//! included, a reader that goes away ends the daemon quietly, and a stdin
+//! that cannot be read ends it with one error line.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const NOT_UTF8_REPLY: &str = r#"{"id":null,"status":"error","kind":"parse","heuristic":null,"message":"request line is not valid UTF-8"}"#;
 
@@ -30,9 +32,8 @@ fn replies(input: &[u8]) -> Vec<String> {
     stdout.lines().map(str::to_string).collect()
 }
 
-/// The first line is answered although the second is not UTF-8 and sits
-/// in the same batch; the second is one `parse` reply; the third is
-/// served and counts the error.
+/// The first line is answered although the second is not UTF-8; the
+/// second is one `parse` reply; the third is served and counts the error.
 #[test]
 fn invalid_utf8_line_is_one_parse_reply() {
     let got = replies(b"{\"cmd\":\"heuristics\"}\n\xff\xfe bad\n{\"cmd\":\"stats\"}\n");
@@ -46,9 +47,8 @@ fn invalid_utf8_line_is_one_parse_reply() {
     );
 }
 
-/// A rejected line is counted after the lines read before it, as a
-/// serial run counts it: a `stats` request ahead of it in the same batch
-/// does not see its error.
+/// A rejected line is counted in line order: a `stats` request ahead of
+/// it does not see its error.
 #[test]
 fn a_rejected_line_is_counted_in_line_order() {
     let got = replies(b"{\"cmd\":\"stats\"}\n\xff\n");
@@ -58,8 +58,7 @@ fn a_rejected_line_is_counted_in_line_order() {
 }
 
 /// A reader that goes away ends pipe mode quietly: exit status 0 and
-/// nothing on stderr, although replies were still due. The first full
-/// batch is answered before the reader leaves.
+/// nothing on stderr, although replies were still due.
 #[test]
 fn closed_reader_ends_pipe_mode_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
@@ -93,6 +92,70 @@ fn closed_reader_ends_pipe_mode_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// Each line is answered while stdin stays open: a client may wait for
+/// one reply before it sends the next line. The replies are read on a
+/// thread, so a daemon that holds them fails the test instead of hanging
+/// it.
+#[test]
+fn each_reply_comes_before_the_next_line() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ltf-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ltf-serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if tx.send(line.expect("read stdout")).is_err() {
+                break;
+            }
+        }
+    });
+    for round in 0..2 {
+        stdin
+            .write_all(b"{\"cmd\":\"heuristics\"}\n")
+            .expect("write stdin");
+        stdin.flush().expect("flush stdin");
+        let reply = match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(reply) => reply,
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("no reply to line {round} with stdin open: {e}");
+            }
+        };
+        assert!(
+            reply.starts_with(r#"{"status":"ok","heuristics""#),
+            "{reply}"
+        );
+    }
+    drop(stdin);
+    let status = child.wait().expect("ltf-serve exit");
+    assert!(status.success(), "{status:?}");
+    reader.join().expect("reader thread");
+    assert!(rx.try_recv().is_err(), "a reply nobody asked for");
+}
+
+/// A `stats` request counts every line before it: two identical solves
+/// are one miss and one hit.
+#[test]
+fn stats_counts_the_lines_before_it() {
+    let solve = r#"{"id":1,"heuristic":"rltf","graph":{"tasks":[{"name":"a","exec":2.0},{"name":"b","exec":3.0}],"edges":[{"src":0,"dst":1,"volume":1.0}]},"platform":{"speeds":[1.0,1.0],"delays":[0.0,0.5,0.5,0.0]},"config":{"epsilon":1,"period":30.0}}"#;
+    let got = replies(format!("{solve}\n{solve}\n{{\"cmd\":\"stats\"}}\n").as_bytes());
+    assert_eq!(got.len(), 3, "{got:?}");
+    assert!(got[0].contains(r#""cached":false"#), "{}", got[0]);
+    assert!(got[1].contains(r#""cached":true"#), "{}", got[1]);
+    for field in [
+        r#""served":2,"ok":2,"#,
+        r#""cache_hits":1,"cache_misses":1,"cache_len":1,"#,
+    ] {
+        assert!(got[2].contains(field), "{field} missing from {}", got[2]);
+    }
 }
 
 /// A stdin that fails to read (here a directory) is one line on stderr and

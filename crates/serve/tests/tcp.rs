@@ -2,14 +2,17 @@
 //! socket (Nagle on, delayed ACKs) gets its replies without a stall, a
 //! cache hit on one connection is answered while another connection's
 //! miss is still solving, `{"cmd":"stats"}` counts the requests of every
-//! connection, and a line nested too deep to parse, too long to buffer or
-//! not in UTF-8 leaves the daemon serving.
+//! connection, a line nested too deep to parse, too long to buffer or
+//! not in UTF-8 leaves the daemon serving, and so does running out of
+//! file descriptors.
 
 use ltf_graph::generate::{layered, LayeredConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fs::File;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -18,7 +21,7 @@ struct Daemon {
     child: Child,
     addr: String,
     /// Held open: the daemon logs one line per closed connection.
-    _stderr: BufReader<ChildStderr>,
+    _stderr: Option<BufReader<ChildStderr>>,
 }
 
 impl Daemon {
@@ -47,7 +50,7 @@ impl Daemon {
         Self {
             child,
             addr,
-            _stderr: stderr,
+            _stderr: Some(stderr),
         }
     }
 
@@ -267,4 +270,90 @@ fn invalid_utf8_line_is_a_parse_error_and_the_connection_keeps_serving() {
     );
     let reply = daemon.connect().call(&small(1));
     assert!(reply.starts_with(r#"{"id":1,"status":"ok""#), "{reply}");
+}
+
+/// Lines of `path` that contain `needle`.
+fn count_lines(path: &PathBuf, needle: &str) -> usize {
+    let bytes = std::fs::read(path).expect("read the daemon's stderr");
+    String::from_utf8_lossy(&bytes)
+        .lines()
+        .filter(|line| line.contains(needle))
+        .count()
+}
+
+/// Out of file descriptors, the accept loop pauses before it retries
+/// instead of spinning on `EMFILE` (a core and ~17 MB/s of "accept
+/// failed" lines), and a connection left waiting is served once others
+/// close.
+#[test]
+fn accept_pauses_when_out_of_file_descriptors() {
+    let log = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("accept-emfile-{}.err", std::process::id()));
+    let child = Command::new("sh")
+        .args([
+            "-c",
+            r#"ulimit -n 16 && exec "$0" --listen 127.0.0.1:0"#,
+            env!("CARGO_BIN_EXE_ltf-serve"),
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(File::create(&log).expect("create the stderr log"))
+        .spawn()
+        .expect("spawn ltf-serve");
+    let mut daemon = Daemon {
+        child,
+        addr: String::new(),
+        _stderr: None,
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while daemon.addr.is_empty() {
+        assert!(Instant::now() < deadline, "the daemon never listened");
+        std::thread::sleep(Duration::from_millis(20));
+        let text = std::fs::read_to_string(&log).expect("read the daemon's stderr");
+        if let Some(addr) = text
+            .lines()
+            .find_map(|line| line.strip_prefix("ltf-serve: listening on "))
+        {
+            daemon.addr = addr.to_string();
+        }
+    }
+    // 16 descriptors leave room for about 12 connections; the rest wait
+    // in the listen queue with their request sent.
+    let mut conns: Vec<Conn> = (0..20).map(|_| daemon.connect()).collect();
+    for conn in &mut conns {
+        conn.send(r#"{"cmd":"heuristics"}"#);
+    }
+    std::thread::sleep(Duration::from_secs(1));
+    let failures = count_lines(&log, "accept failed");
+    assert!(
+        (1..=100).contains(&failures),
+        "{failures} failed accepts in 1 s"
+    );
+    let (mut answered, mut waiting) = (Vec::new(), Vec::new());
+    for mut conn in conns {
+        if conn.reply_waiting() {
+            answered.push(conn);
+        } else {
+            waiting.push(conn);
+        }
+    }
+    assert!(
+        !answered.is_empty() && !waiting.is_empty(),
+        "{} answered, {} waiting",
+        answered.len(),
+        waiting.len()
+    );
+    answered.truncate(answered.len().saturating_sub(8));
+    let first = &mut waiting[0];
+    first
+        .stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let reply = first.recv();
+    assert!(
+        reply.starts_with(r#"{"status":"ok","heuristics""#),
+        "{reply}"
+    );
+    drop(daemon);
+    let _ = std::fs::remove_file(&log);
 }
