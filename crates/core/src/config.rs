@@ -203,14 +203,12 @@ impl PeriodWindow {
     }
 
     /// Largest checked value that passed (`−∞` when none did).
-    #[cfg(test)]
-    pub(crate) fn pass_max(&self) -> f64 {
+    pub fn pass_max(&self) -> f64 {
         self.pass_max
     }
 
     /// Smallest checked value that failed (`+∞` when none did).
-    #[cfg(test)]
-    pub(crate) fn fail_min(&self) -> f64 {
+    pub fn fail_min(&self) -> f64 {
         self.fail_min
     }
 }

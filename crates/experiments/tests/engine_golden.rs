@@ -11,11 +11,14 @@
 //! One line per case: the case, then the stage count, the latency bound,
 //! the message count and an FNV-1a-64 digest of the schedule's wire form
 //! (full schedules run to tens of KB each at this size), or the error's
-//! debug form. On a mismatch the regenerated file is written to Cargo's
-//! temporary directory for integration tests (named in the failure
-//! message) so the drift can be diffed.
+//! debug form, then the run's period window. The window pins the order and
+//! values of condition (1)'s checks, which identical schedules do not: the
+//! Pareto memo reuses a run at every period its window admits. On a
+//! mismatch the regenerated file is written to Cargo's temporary directory
+//! for integration tests (named in the failure message) so the drift can
+//! be diffed.
 
-use ltf_core::{AlgoConfig, Solver};
+use ltf_core::{lookup, AlgoConfig, Solver, BUILTIN};
 use ltf_experiments::campaign::{TopologyShape, TopologySpec};
 use ltf_experiments::{gen_instance_on, Instance, PaperWorkload};
 use ltf_platform::CommMode;
@@ -90,7 +93,31 @@ fn line(solver: &Solver<'_>, heuristic: &str, cfg: &AlgoConfig, case: String) ->
             serde_json::to_string(&format!("{:?}", d.error)).unwrap()
         ),
     };
-    format!("{case},{verdict}}}\n")
+    format!(
+        "{case},{verdict},\"window\":{}}}\n",
+        window(solver, heuristic, cfg)
+    )
+}
+
+/// The run's [`ltf_core::PeriodWindow`] as `{"pass_max", "fail_min"}`, each
+/// in Rust's shortest round-trip float text: JSON has no `±∞`, which an
+/// edge without a recorded check takes.
+fn window(solver: &Solver<'_>, heuristic: &str, cfg: &AlgoConfig) -> String {
+    let h = lookup(&BUILTIN, heuristic).expect("built-in heuristic");
+    match h.schedule_windowed(solver.instance(), cfg).1 {
+        Some(w) => {
+            assert!(
+                w.admits(cfg.period),
+                "{heuristic}: window excludes its own period"
+            );
+            format!(
+                "{{\"pass_max\":\"{:?}\",\"fail_min\":\"{:?}\"}}",
+                w.pass_max(),
+                w.fail_min()
+            )
+        }
+        None => "null".to_string(),
+    }
 }
 
 fn case(label: &str, seed: u64, heuristic: &str, cfg: &AlgoConfig, knob: &str) -> String {

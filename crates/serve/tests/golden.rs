@@ -10,7 +10,7 @@
 //! diffs against `responses.jsonl` (see `.github/workflows/ci.yml`).
 
 use ltf_graph::generate::{fig1_diamond, fig2_workflow_variant};
-use ltf_platform::Platform;
+use ltf_platform::{Platform, Topology};
 use ltf_serve::proto::RequestConfig;
 use ltf_serve::{Service, ServiceConfig, SolveRequest};
 use std::path::PathBuf;
@@ -48,7 +48,9 @@ fn request(
 
 /// The fixture's request stream: worked examples through several
 /// heuristics, a duplicate (exercising `cached:true`), every error class,
-/// and the deterministic `heuristics` control command.
+/// the deterministic `heuristics` control command, and LTF/R-LTF on two
+/// Contended platforms (routed wire form, link-aware fingerprint and
+/// solve).
 fn requests() -> Vec<String> {
     let fig1_g = fig1_diamond();
     let fig1_p = Platform::fig1_platform();
@@ -71,6 +73,15 @@ fn requests() -> Vec<String> {
     lines.push(r#"{"id":9,"heuristic":"ltf","graph":{"tasks":[{"name":"a","exec":1.0}],"edges":[]},"platform":{"speeds":[1.0],"delays":[0.0]},"config":{"epsilon":0,"period":5.0},"shiny":true}"#.to_string());
     lines.push(r#"{"id":10,"heuristic":"ltf","graph":{"tasks":[{"name":"a","exec":"fast"}],"edges":[]},"platform":{"speeds":[1.0],"delays":[0.0]},"config":{"epsilon":0,"period":5.0}}"#.to_string());
     lines.push(r#"{"id":11,"heuristic":"ltf","#.to_string());
+    let chain = Topology::chain(vec![1.0; 8], 0.5).into_contended_platform();
+    let star = Topology::star(vec![1.0; 8], 0.4).into_contended_platform();
+    let mut id = 12;
+    for p in [chain.expect("connected"), star.expect("connected")] {
+        for heuristic in ["ltf", "rltf"] {
+            lines.push(request(id, heuristic, &fig2_g, &p, 1, 40.0));
+            id += 1;
+        }
+    }
     lines
 }
 

@@ -419,7 +419,7 @@ fn mutate(corpus: &[&str], rng: &mut StdRng) -> String {
 #[test]
 fn mutated_golden_requests_each_get_one_reply() {
     let corpus: Vec<&str> = include_str!("golden/requests.jsonl").lines().collect();
-    assert_eq!(corpus.len(), 12);
+    assert_eq!(corpus.len(), 16);
     let mut rng = StdRng::seed_from_u64(0xF0221);
     let s = service();
     for _ in 0..1000 {
