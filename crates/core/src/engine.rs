@@ -8,10 +8,18 @@
 //!
 //! Placement works in two phases: [`Engine::probe`] computes, without
 //! mutating anything, where a replica would land on a candidate processor —
-//! start/finish times under insertion-based compute scheduling, the
-//! one-port link reservations for its incoming messages, the resulting
-//! pipeline stage, and whether condition (1) (the throughput constraint)
-//! holds. [`Engine::commit`] then applies the chosen probe.
+//! start/finish times under insertion-based compute scheduling, the channel
+//! reservations of its incoming messages, the resulting pipeline stage,
+//! and whether condition (1) (the throughput constraint) holds.
+//! [`Engine::commit`] then applies the chosen probe.
+//!
+//! Every message holds the channels [`Platform::channels`] names — its
+//! sender's send port, its receiver's receive port and each link of its
+//! route — for one common window, found by
+//! [`common_fit`](ltf_schedule::intervals::common_fit). The engine keeps
+//! one timeline and one load per channel, so the one-port model and link
+//! contention are one rule: a matrix platform's messages simply hold no
+//! link.
 //! [`Engine::probe_bound`] is the cheap, period-free lower bound the
 //! driver's candidate scans use to skip probes that cannot win.
 //!
@@ -22,21 +30,22 @@
 //! replica axis and by `ProcId::index()` on the processor axis. The probe
 //! loops in [`crate::driver`] never touch the allocator in steady state:
 //!
-//! * Every per-probe buffer — the flattened transfer list, the per-port
+//! * Every per-probe buffer — the flattened transfer list, the per-channel
 //!   overlay deltas, the planned-message list — lives in a caller-owned
 //!   [`ProbeWorkspace`] / [`ProbeBuf`] and is `clear()`ed, not rebuilt.
 //!   Source plans are flat [`PlanBuf`] arenas (edge list + offset table +
 //!   copy pool) instead of nested `Vec<(EdgeId, Vec<u8>)>`.
-//! * Probing evaluates port contention against [`OverlayView`]s — the
-//!   committed per-processor timelines from the bucketed [`IntervalIndex`]
-//!   plus a small delta of the candidate's own planned messages. Rejected
+//! * Probing evaluates channel contention against [`OverlayView`]s — the
+//!   committed channel timelines from the bucketed [`IntervalIndex`] plus
+//!   a small delta of the candidate's own planned messages. Rejected
 //!   candidates leave nothing to clean up, and no `IntervalSet` is ever
 //!   cloned on the probe path.
 //! * Committing can be journaled: between [`Engine::checkpoint`] and
 //!   [`Engine::rollback_to`] every mutation records its exact inverse
 //!   (old float values, not deltas, so rollback is bit-exact). The journal
 //!   itself is flat — fixed-size records plus two side stacks for the
-//!   variable-length parts — and its buffers are retained across
+//!   variable-length parts, the `(channel, old load)` pairs of committed
+//!   messages and the upstream entries — and its buffers are retained across
 //!   [`Engine::discard_journal`], so speculation allocates nothing once
 //!   warm. Downstream-closure bitsets released by a rollback are recycled
 //!   through a free pool ([`Engine::take_set`]).
@@ -57,7 +66,7 @@
 use crate::config::{AlgoConfig, PeriodWindow};
 use ltf_graph::{EdgeId, TaskGraph, TaskId};
 use ltf_platform::{Platform, ProcId};
-use ltf_schedule::intervals::{earliest_common_fit, BusyTimeline};
+use ltf_schedule::intervals::common_fit;
 use ltf_schedule::{CommEvent, IntervalIndex, OverlayDelta, ReplicaId, SourceChoice, EPS};
 
 /// A flat source plan: which predecessor copies feed each in-edge of a
@@ -269,41 +278,30 @@ impl ProbeBuf {
     }
 }
 
-/// Per-probe working memory: the flattened transfer list and the one-port
-/// overlay deltas. Owned by the driver's scratch arena and reused for
-/// every candidate; a steady-state probe performs no heap allocation.
+/// Per-probe working memory: the flattened transfer list and the tentative
+/// channel reservations. Owned by the driver's scratch arena and reused
+/// for every candidate; a steady-state probe performs no heap allocation.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeWorkspace {
     items: Vec<(EdgeId, ReplicaId)>,
-    send: Vec<SendSlot>,
-    send_len: usize,
-    recv: OverlayDelta,
-    /// Tentative per-link reservations (contended comm model only; stays
-    /// untouched — and unallocated — under the uniform model).
-    links: Vec<LinkSlot>,
-    links_len: usize,
-    /// Slot indices of the current message's route links (cleared per
-    /// message, capacity retained).
-    route_slots: Vec<usize>,
+    /// One slot per channel the probe's messages hold; the first `live`
+    /// are in use, the rest keep their buffers for later probes.
+    slots: Vec<ChanSlot>,
+    live: usize,
+    /// Slot indices of the current message's channels, in
+    /// [`Platform::channels`] order (cleared per message, capacity
+    /// retained).
+    msg: Vec<usize>,
     /// Every period comparison of every probe made through this workspace
     /// (one run's worth: the driver owns one workspace per run).
     window: PeriodWindow,
 }
 
-/// Tentative reservations on one touched source processor's send port.
-/// Few per probe: linear keying beats an `m`-sized scratch vector.
+/// Tentative reservations on one channel a probe's messages hold. Few per
+/// probe: linear keying beats a channel-sized scratch vector.
 #[derive(Debug)]
-struct SendSlot {
-    proc: usize,
-    delta: OverlayDelta,
-    load: f64,
-}
-
-/// Tentative reservations on one touched physical link (contended comm
-/// model). Linear-keyed and recycled exactly like [`SendSlot`].
-#[derive(Debug)]
-struct LinkSlot {
-    link: usize,
+struct ChanSlot {
+    chan: usize,
     delta: OverlayDelta,
     load: f64,
 }
@@ -314,52 +312,27 @@ impl ProbeWorkspace {
         self.window
     }
 
-    /// Index of the slot for `proc`, reusing retired slots before growing.
-    fn send_slot(&mut self, proc: usize) -> usize {
-        for i in 0..self.send_len {
-            if self.send[i].proc == proc {
+    /// Index of the slot for `chan`, reusing retired slots before growing.
+    fn slot(&mut self, chan: usize) -> usize {
+        for i in 0..self.live {
+            if self.slots[i].chan == chan {
                 return i;
             }
         }
-        let i = self.send_len;
-        if i == self.send.len() {
-            self.send.push(SendSlot {
-                proc,
+        let i = self.live;
+        if i == self.slots.len() {
+            self.slots.push(ChanSlot {
+                chan,
                 delta: OverlayDelta::new(),
                 load: 0.0,
             });
         } else {
-            let s = &mut self.send[i];
-            s.proc = proc;
+            let s = &mut self.slots[i];
+            s.chan = chan;
             s.delta.clear();
             s.load = 0.0;
         }
-        self.send_len += 1;
-        i
-    }
-
-    /// Index of the slot for physical link `link`, reusing retired slots
-    /// before growing.
-    fn link_slot(&mut self, link: usize) -> usize {
-        for i in 0..self.links_len {
-            if self.links[i].link == link {
-                return i;
-            }
-        }
-        let i = self.links_len;
-        if i == self.links.len() {
-            self.links.push(LinkSlot {
-                link,
-                delta: OverlayDelta::new(),
-                load: 0.0,
-            });
-        } else {
-            let s = &mut self.links[i];
-            s.link = link;
-            s.delta.clear();
-            s.load = 0.0;
-        }
-        self.links_len += 1;
+        self.live += 1;
         i
     }
 }
@@ -374,34 +347,21 @@ struct ReplicaMeta {
     kill: ProcMask,
 }
 
-/// Inverse of one committed message: where its port reservations and load
-/// contributions went. Lives on the journal's flat side stack.
-#[derive(Debug, Clone, Copy)]
-struct CommUndo {
-    src_proc: usize,
-    start: f64,
-    end: f64,
-    old_cout: f64,
-    /// Number of link-undo entries this message pushed (0 under the
-    /// uniform comm model).
-    n_links: u32,
-}
-
 /// One journaled mutation with everything needed to revert it exactly.
 /// Old values (not deltas) are recorded so floating-point state is
-/// restored bit-for-bit. Variable-length payloads (message undos, touched
+/// restored bit-for-bit. Variable-length payloads (channel loads, touched
 /// upstream entries) live on the journal's side stacks; the records here
 /// only carry counts, so pushing and popping them never allocates.
 #[derive(Debug)]
 enum UndoRec {
-    /// Inverse of [`Engine::commit`]; pops `n_comms` entries off the
-    /// comm-undo stack.
+    /// Inverse of [`Engine::commit`]; pops the commit's `n_comms` messages
+    /// off the event log, and each message's channels off the channel
+    /// stack.
     Commit {
         r: u32,
         proc: ProcId,
         old_meta: ReplicaMeta,
         old_sigma: f64,
-        old_cin: f64,
         old_max_stage: u32,
         cpu_iv: (f64, f64),
         n_comms: u32,
@@ -421,10 +381,9 @@ enum UndoRec {
 struct Journal {
     active: bool,
     recs: Vec<UndoRec>,
-    comms: Vec<CommUndo>,
-    /// Per-link inverses `(link, old_load)` of committed messages; popped
-    /// `CommUndo::n_links` at a time.
-    links: Vec<(u32, f64)>,
+    /// `(channel, old load)` of each channel a committed message holds, in
+    /// commit order; a message's event says how many are its own.
+    chans: Vec<(u32, f64)>,
     upstream: Vec<(u32, ProcMask, ProcMask)>,
 }
 
@@ -463,17 +422,14 @@ pub(crate) struct EngineState {
     pub allush: Vec<ProcMask>,
     // Per processor.
     pub sigma: Vec<f64>,
-    pub cin: Vec<f64>,
-    pub cout: Vec<f64>,
     pub cpu: IntervalIndex,
-    pub send: IntervalIndex,
-    pub recv: IntervalIndex,
-    // Per physical link (contended comm model; both empty under uniform).
-    /// Busy timeline of each physical link.
-    pub link: IntervalIndex,
-    /// Committed transfer load per physical link (the link-capacity side
-    /// of condition (1): each must stay ≤ the period).
-    pub lload: Vec<f64>,
+    // Per channel (`Platform::channels`: send ports, receive ports, links).
+    /// Busy timeline of each channel.
+    pub chan: IntervalIndex,
+    /// Committed transfer load of each channel: `C^O` of a send port,
+    /// `C^I` of a receive port, a link's traffic. Condition (1) keeps each
+    /// one within the period.
+    pub load: Vec<f64>,
     // Scalars / event log.
     pub comm_events: Vec<CommEvent>,
     /// Largest stage assigned so far (scheduling-direction); drives
@@ -482,7 +438,7 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    fn new(n: usize, num_tasks: usize, m: usize, nlinks: usize) -> Self {
+    fn new(n: usize, num_tasks: usize, m: usize, nchan: usize) -> Self {
         Self {
             placed: vec![false; n],
             proc_of: vec![ProcId(0); n],
@@ -495,13 +451,9 @@ impl EngineState {
             ushost: vec![0; n],
             allush: vec![0; num_tasks],
             sigma: vec![0.0; m],
-            cin: vec![0.0; m],
-            cout: vec![0.0; m],
             cpu: IntervalIndex::new(m),
-            send: IntervalIndex::new(m),
-            recv: IntervalIndex::new(m),
-            link: IntervalIndex::new(nlinks),
-            lload: vec![0.0; nlinks],
+            chan: IntervalIndex::new(nchan),
+            load: vec![0.0; nchan],
             comm_events: Vec::new(),
             max_stage: 0,
         }
@@ -549,7 +501,7 @@ impl<'a> Engine<'a> {
             p,
             period: cfg.period,
             nrep,
-            state: EngineState::new(n, g.num_tasks(), m, p.num_links()),
+            state: EngineState::new(n, g.num_tasks(), m, p.num_channels()),
             rev: None,
             journal: Journal::default(),
             free_sets: Vec::new(),
@@ -666,10 +618,12 @@ impl<'a> Engine<'a> {
     /// the outcome into `out`. Returns `false` when condition (1) — the
     /// throughput constraint — would be violated. Does not mutate the
     /// engine, and performs no heap allocation once `ws`/`out` are warm.
-    /// These four checks are the only place the period enters a run; each
-    /// goes through [`PeriodWindow::exceeds`], which records it in `ws`.
+    /// Condition (1)'s checks are the only place the period enters a run:
+    /// `σ_u + w` first; then, per message, each route link's load and the
+    /// sender's `C^O`; then `u`'s `C^I` once. Each goes through
+    /// [`PeriodWindow::exceeds`], which records it in `ws`.
     ///
-    /// Port contention is evaluated against overlays of the committed
+    /// Channel contention is evaluated against overlays of the committed
     /// timelines; no per-candidate `IntervalSet` clone takes place.
     pub fn probe(
         &self,
@@ -687,7 +641,7 @@ impl<'a> Engine<'a> {
         }
 
         // Flatten and order incoming transfers by producer finish time so
-        // the port reservations are deterministic. The comparator is a
+        // the channel reservations are deterministic. The comparator is a
         // strict total order over the (distinct) items, so the unstable
         // sort is deterministic too.
         ws.items.clear();
@@ -706,10 +660,10 @@ impl<'a> Engine<'a> {
                 .then(a.1.copy.cmp(&b.1.copy))
         });
 
-        ws.send_len = 0;
-        ws.links_len = 0;
-        ws.recv.clear();
-        let mut cin_add = 0.0f64;
+        // Every message holds `u`'s receive port, so its slot comes first
+        // and stays; its `C^I` is checked once, after the last message.
+        ws.live = 0;
+        let recv = ws.slot(self.p.channels(u, u).recv);
         let mut ready = 0.0f64;
         let mut stage = 1u32;
         out.planned.clear();
@@ -742,72 +696,37 @@ impl<'a> Engine<'a> {
             stage = stage.max(st.stage[sidx] + 1);
             let dur = self.p.comm_time(self.g.edge(edge).volume, h, u);
             if dur <= EPS {
-                // Zero-volume transfer: crosses processors (η = 1) but
-                // occupies no port time.
+                // A transfer of zero volume or zero delay crosses
+                // processors (η = 1) but holds no channel.
                 ready = ready.max(st.finish[sidx]);
                 continue;
             }
-            let hi = h.index();
-            let slot = ws.send_slot(hi);
-            let route = self.p.route(h, u);
-            let start = if route.is_empty() {
-                // Matrix platform (or a routed pair with no links —
-                // impossible for distinct processors of a connected
-                // topology): the original two-timeline fit, bit-identical
-                // to the engine before routed platforms.
-                let sv = st.send.overlay(hi, &ws.send[slot].delta);
-                let rv = st.recv.overlay(ui, &ws.recv);
-                earliest_common_fit(&sv, &rv, st.finish[sidx], dur)
-            } else {
-                // Contended: the message must hold the send port, the
-                // receive port and every link on its route for one common
-                // window. Generalizes `earliest_common_fit`'s fixpoint to
-                // n timelines: sweep all of them until a full pass leaves
-                // the candidate unchanged. The stationary point is a common
-                // fit at or after the producer's finish; as `next_fit` is
-                // not monotone, a start within 2·EPS of a busy interval's
-                // end can be passed over, so it need not be the least.
-                ws.route_slots.clear();
-                for &l in route {
-                    let li = ws.link_slot(l.index());
-                    ws.route_slots.push(li);
-                }
-                let sv = st.send.overlay(hi, &ws.send[slot].delta);
-                let rv = st.recv.overlay(ui, &ws.recv);
-                let mut t = st.finish[sidx];
-                loop {
-                    let t_pass = t;
-                    t = sv.next_fit(t, dur);
-                    t = rv.next_fit(t, dur);
-                    for &li in &ws.route_slots {
-                        let lv = st.link.overlay(ws.links[li].link, &ws.links[li].delta);
-                        t = lv.next_fit(t, dur);
-                    }
-                    if t - t_pass <= EPS {
-                        break t;
-                    }
-                }
+            // The message holds its channels for one common window, fitted
+            // from its producer's finish.
+            let ch = self.p.channels(h, u);
+            ws.msg.clear();
+            let send = ws.slot(ch.send);
+            ws.msg.extend([send, recv]);
+            for c in ch.links() {
+                let l = ws.slot(c);
+                ws.msg.push(l);
+            }
+            let fit = |i: usize| {
+                let s = &ws.slots[ws.msg[i]];
+                st.chan.overlay(s.chan, &s.delta)
             };
-            ws.send[slot].delta.insert(start, start + dur);
-            ws.recv.insert(start, start + dur);
-            for i in 0..route.len() {
-                let li = ws.route_slots[i];
-                let ls = &mut ws.links[li];
-                ls.delta.insert(start, start + dur);
-                ls.load += dur;
-                // Link capacity: total traffic over a physical link must
-                // fit the period, like the endpoint IO loads.
-                if ws.window.exceeds(st.lload[ls.link] + ls.load, self.period) {
+            let start = common_fit(ws.msg.len(), fit, st.finish[sidx], dur);
+            for &i in &ws.msg {
+                let s = &mut ws.slots[i];
+                s.delta.insert(start, start + dur);
+                s.load += dur;
+            }
+            // Condition (1): each route link's load, then the sender's `C^O`.
+            for &i in ws.msg[2..].iter().chain(&ws.msg[..1]) {
+                let s = &ws.slots[i];
+                if ws.window.exceeds(st.load[s.chan] + s.load, self.period) {
                     return false;
                 }
-            }
-            cin_add += dur;
-            ws.send[slot].load += dur;
-            if ws
-                .window
-                .exceeds(st.cout[hi] + ws.send[slot].load, self.period)
-            {
-                return false;
             }
             out.planned.push(PlannedComm {
                 edge,
@@ -818,7 +737,8 @@ impl<'a> Engine<'a> {
             });
             ready = ready.max(start + dur);
         }
-        if ws.window.exceeds(st.cin[ui] + cin_add, self.period) {
+        let r = &ws.slots[recv];
+        if ws.window.exceeds(st.load[r.chan] + r.load, self.period) {
             return false;
         }
 
@@ -868,10 +788,10 @@ impl<'a> Engine<'a> {
         (stage, start + exec)
     }
 
-    /// Apply a probe: place the replica, reserve ports and CPU, record the
-    /// communication events and the source structure (and, in reverse
-    /// mode, the transposed forward sources). Journaled when a checkpoint
-    /// is outstanding.
+    /// Apply a probe: place the replica, reserve its CPU time and its
+    /// messages' channels, record the communication events and the source
+    /// structure (and, in reverse mode, the transposed forward sources).
+    /// Journaled when a checkpoint is outstanding.
     pub fn commit(&mut self, t: TaskId, copy: u8, probe: &ProbeBuf, plan: &PlanBuf) {
         let st = &mut self.state;
         let r = self.nrep * t.index() + copy as usize;
@@ -882,19 +802,6 @@ impl<'a> Engine<'a> {
         let rep = ReplicaId::new(t, copy);
 
         if self.journal.active {
-            for pc in &probe.planned {
-                let route = self.p.route(pc.src_proc, u);
-                for &l in route {
-                    self.journal.links.push((l.0, st.lload[l.index()]));
-                }
-                self.journal.comms.push(CommUndo {
-                    src_proc: pc.src_proc.index(),
-                    start: pc.start,
-                    end: pc.start + pc.dur,
-                    old_cout: st.cout[pc.src_proc.index()],
-                    n_links: route.len() as u32,
-                });
-            }
             self.journal.recs.push(UndoRec::Commit {
                 r: r as u32,
                 proc: u,
@@ -906,7 +813,6 @@ impl<'a> Engine<'a> {
                     kill: st.kill[r],
                 },
                 old_sigma: st.sigma[ui],
-                old_cin: st.cin[ui],
                 old_max_stage: st.max_stage,
                 cpu_iv: (probe.start, probe.finish),
                 n_comms: probe.planned.len() as u32,
@@ -924,16 +830,17 @@ impl<'a> Engine<'a> {
         st.sigma[ui] += probe.finish - probe.start;
         st.cpu.insert(ui, probe.start, probe.finish);
 
+        // Each message holds its channels over its window. A journaled
+        // commit records each channel's load before the message adds to it.
         for pc in &probe.planned {
-            st.send
-                .insert(pc.src_proc.index(), pc.start, pc.start + pc.dur);
-            st.recv.insert(ui, pc.start, pc.start + pc.dur);
-            for &l in self.p.route(pc.src_proc, u) {
-                st.link.insert(l.index(), pc.start, pc.start + pc.dur);
-                st.lload[l.index()] += pc.dur;
+            let end = pc.start + pc.dur;
+            for c in self.p.channels(pc.src_proc, u).iter() {
+                if self.journal.active {
+                    self.journal.chans.push((c as u32, st.load[c]));
+                }
+                st.chan.insert(c, pc.start, end);
+                st.load[c] += pc.dur;
             }
-            st.cout[pc.src_proc.index()] += pc.dur;
-            st.cin[ui] += pc.dur;
             st.comm_events.push(CommEvent {
                 edge: pc.edge,
                 src: pc.src,
@@ -941,7 +848,7 @@ impl<'a> Engine<'a> {
                 src_proc: pc.src_proc,
                 dst_proc: u,
                 start: pc.start,
-                finish: pc.start + pc.dur,
+                finish: end,
             });
         }
 
@@ -1027,7 +934,6 @@ impl<'a> Engine<'a> {
                     proc,
                     old_meta,
                     old_sigma,
-                    old_cin,
                     old_max_stage,
                     cpu_iv,
                     n_comms,
@@ -1035,22 +941,19 @@ impl<'a> Engine<'a> {
                     let r = r as usize;
                     let st = &mut self.state;
                     let ui = proc.index();
+                    // A message's event gives its window; one channel
+                    // entry per channel it held.
                     for _ in 0..n_comms {
-                        let cu = self.journal.comms.pop().expect("comm undo underflow");
-                        st.comm_events.pop();
-                        st.send.remove(cu.src_proc, cu.start, cu.end);
-                        st.recv.remove(ui, cu.start, cu.end);
-                        st.cout[cu.src_proc] = cu.old_cout;
-                        for _ in 0..cu.n_links {
-                            let (l, old_load) =
-                                self.journal.links.pop().expect("link undo underflow");
-                            st.link.remove(l as usize, cu.start, cu.end);
-                            st.lload[l as usize] = old_load;
+                        let ev = st.comm_events.pop().expect("comm event underflow");
+                        for _ in self.p.channels(ev.src_proc, ev.dst_proc).iter() {
+                            let (c, old) =
+                                self.journal.chans.pop().expect("channel undo underflow");
+                            st.chan.remove(c as usize, ev.start, ev.finish);
+                            st.load[c as usize] = old;
                         }
                     }
                     st.cpu.remove(ui, cpu_iv.0, cpu_iv.1);
                     st.sigma[ui] = old_sigma;
-                    st.cin[ui] = old_cin;
                     st.max_stage = old_max_stage;
                     st.placed[r] = false;
                     st.proc_of[r] = old_meta.proc;
@@ -1107,8 +1010,7 @@ impl<'a> Engine<'a> {
                 self.free_sets.push(old);
             }
         }
-        self.journal.comms.clear();
-        self.journal.links.clear();
+        self.journal.chans.clear();
         self.journal.upstream.clear();
     }
 
@@ -1397,8 +1299,7 @@ mod tests {
         e.discard_journal();
         assert!(!e.is_placed(t, 0));
         assert_eq!(e.state.sigma, snapshot.sigma);
-        assert_eq!(e.state.cin, snapshot.cin);
-        assert_eq!(e.state.cout, snapshot.cout);
+        assert_eq!(e.state.load, snapshot.load);
         assert_eq!(e.state.comm_events.len(), snapshot.comm_events.len());
         assert_eq!(e.state.max_stage, snapshot.max_stage);
         assert_eq!(e.state.ushost, snapshot.ushost);
@@ -1409,13 +1310,11 @@ mod tests {
                 e.state.cpu.bucket(u).intervals(),
                 snapshot.cpu.bucket(u).intervals()
             );
+        }
+        for c in 0..p.num_channels() {
             assert_eq!(
-                e.state.send.bucket(u).intervals(),
-                snapshot.send.bucket(u).intervals()
-            );
-            assert_eq!(
-                e.state.recv.bucket(u).intervals(),
-                snapshot.recv.bucket(u).intervals()
+                e.state.chan.bucket(c).intervals(),
+                snapshot.chan.bucket(c).intervals()
             );
         }
 
@@ -1573,8 +1472,8 @@ mod tests {
         }
     }
 
-    /// Rollback restores link timelines and loads bit-exactly on a
-    /// contended platform.
+    /// Rollback restores the channel timelines and loads, links included,
+    /// bit-exactly on a contended platform.
     #[test]
     fn contended_rollback_restores_link_state() {
         let mut b = GraphBuilder::new();
@@ -1595,25 +1494,29 @@ mod tests {
         let mark = e.checkpoint();
         let plan = rfa_plan(&g, t, 1);
         // P1 → P3 crosses both chain links.
+        let links: Vec<usize> = p.channels(ProcId(0), ProcId(2)).links().collect();
+        assert_eq!(links.len(), 2);
+        let link_loads =
+            |e: &Engine<'_>| links.iter().map(|&c| e.state.load[c]).collect::<Vec<_>>();
         let pr = probe(&e, t, ProcId(2), &plan).unwrap();
         e.commit(t, 0, &pr, &plan);
-        assert_eq!(e.state.lload, vec![3.0, 3.0]);
-        assert_eq!(e.state.link.bucket(0).len(), 1);
+        assert_eq!(link_loads(&e), vec![3.0, 3.0]);
+        assert_eq!(e.state.chan.bucket(links[0]).len(), 1);
 
         e.rollback_to(mark);
         e.discard_journal();
-        assert_eq!(e.state.lload, snapshot.lload);
-        for l in 0..2 {
+        assert_eq!(e.state.load, snapshot.load);
+        for c in 0..p.num_channels() {
             assert_eq!(
-                e.state.link.bucket(l).intervals(),
-                snapshot.link.bucket(l).intervals()
+                e.state.chan.bucket(c).intervals(),
+                snapshot.chan.bucket(c).intervals()
             );
         }
         // The freed link capacity is reusable bit-for-bit.
         let pr2 = probe(&e, t, ProcId(2), &plan).unwrap();
         assert_eq!(pr2.start, pr.start);
         e.commit(t, 0, &pr2, &plan);
-        assert_eq!(e.state.lload, vec![3.0, 3.0]);
+        assert_eq!(link_loads(&e), vec![3.0, 3.0]);
     }
 
     /// The lazily-grown replica set equals its eagerly-sized twin, and

@@ -20,5 +20,5 @@ pub mod topology;
 
 pub use crate::builders::HeterogeneousConfig;
 pub use crate::comm::{CommMode, Link, LinkId, Route, RouteTable};
-pub use crate::platform::{AverageWeights, AverageWeightsInput, Platform, ProcId};
+pub use crate::platform::{AverageWeights, AverageWeightsInput, Channels, Platform, ProcId};
 pub use crate::topology::Topology;

@@ -263,6 +263,28 @@ impl Platform {
         self.route_table().map_or(&[], |t| t.route(k, h).links())
     }
 
+    /// Number of channels a message can hold: `m` send ports, `m` receive
+    /// ports, then the physical links ([`Platform::channels`]).
+    #[inline]
+    pub fn num_channels(&self) -> usize {
+        2 * self.num_procs() + self.num_links()
+    }
+
+    /// The channels a `k → h` message holds for one common window: `k`'s
+    /// send port, `h`'s receive port, then each link of the route — the
+    /// one-port model (§2) and link contention as one rule. Send port `k`
+    /// is channel `k`, receive port `h` is `m + h`, link `l` is `2m + l`.
+    #[inline]
+    pub fn channels(&self, k: ProcId, h: ProcId) -> Channels<'_> {
+        let m = self.num_procs();
+        Channels {
+            send: k.index(),
+            recv: m + h.index(),
+            link_base: 2 * m,
+            route: self.route(k, h),
+        }
+    }
+
     /// Unit delay of one physical link of a contended platform.
     ///
     /// # Panics
@@ -443,6 +465,36 @@ impl Platform {
             node: g.exec.iter().map(|e| e * inv).collect(),
             edge: g.volume.iter().map(|v| v * del).collect(),
         }
+    }
+}
+
+/// The channels of one message ([`Platform::channels`]), each a number in
+/// `0..Platform::num_channels()`. The ports are plain fields, so a loop
+/// that handles them apart from the links walks no iterator for them.
+#[derive(Debug, Clone, Copy)]
+pub struct Channels<'a> {
+    /// The sender's send port.
+    pub send: usize,
+    /// The receiver's receive port.
+    pub recv: usize,
+    /// Channel number of link 0.
+    link_base: usize,
+    /// The route, source to destination (empty on a matrix platform).
+    route: &'a [LinkId],
+}
+
+impl<'a> Channels<'a> {
+    /// The route's links as channel numbers, source to destination.
+    #[inline]
+    pub fn links(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        let base = self.link_base;
+        self.route.iter().map(move |l| base + l.index())
+    }
+
+    /// Every channel, in order: send port, receive port, then the links.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        [self.send, self.recv].into_iter().chain(self.links())
     }
 }
 

@@ -1,8 +1,10 @@
 //! Busy-interval sets with earliest-gap insertion.
 //!
-//! Used to serialize each processor's send port, receive port and compute
-//! resource. Intervals are half-open `[start, end)`; zero-length intervals
-//! are ignored. Insertion keeps the set sorted and non-overlapping.
+//! Used to serialize each processor's compute resource and each channel a
+//! message holds (a send port, a receive port, a route link; see
+//! `Platform::channels`). Intervals are half-open `[start, end)`;
+//! zero-length intervals are ignored. Insertion keeps the set sorted and
+//! non-overlapping.
 //!
 //! Three layers serve the placement hot path:
 //!
@@ -13,10 +15,10 @@
 //!   sorted delta of tentative reservations. Candidate evaluation works
 //!   against the overlay without ever cloning the base set; committing is
 //!   a plain insert, abandoning the probe is free.
-//! * [`IntervalIndex`] — the per-processor bucket index: one
-//!   [`IntervalSet`] per processor, addressed by processor index, so the
-//!   engine keeps all CPU/send/receive timelines in one structure with
-//!   overlay construction and undo-removal per bucket.
+//! * [`IntervalIndex`] — the bucket index: one [`IntervalSet`] per
+//!   processor or per channel, addressed by index, so the engine keeps all
+//!   CPU timelines in one structure and all channel timelines in another,
+//!   with overlay construction and undo-removal per bucket.
 
 use crate::EPS;
 
@@ -68,12 +70,20 @@ fn insert_sorted(ivs: &mut Vec<(f64, f64)>, start: f64, end: f64) {
 
 /// A resource timeline that can answer earliest-fit queries; implemented by
 /// the plain [`IntervalSet`] and the probe-time [`OverlayView`], so
-/// [`earliest_common_fit`] composes either form.
+/// [`common_fit`] composes either form.
 pub trait BusyTimeline {
     /// A `τ ≥ ready` such that `[τ, τ + dur)` is free: the least one,
     /// except that a start within `2·EPS` of a busy interval's end can be
-    /// passed over.
+    /// passed over. Idempotent (`τ` is its own fit), and `τ` is either
+    /// `ready` or more than `EPS` after it.
     fn next_fit(&self, ready: f64, dur: f64) -> f64;
+}
+
+impl<T: BusyTimeline + ?Sized> BusyTimeline for &T {
+    #[inline]
+    fn next_fit(&self, ready: f64, dur: f64) -> f64 {
+        (**self).next_fit(ready, dur)
+    }
 }
 
 /// A sorted set of non-overlapping half-open busy intervals.
@@ -287,42 +297,52 @@ impl OverlayDelta {
     }
 }
 
-/// A `τ ≥ ready` such that `[τ, τ + dur)` is free in both timelines (to
-/// within `EPS`), used to co-reserve a send port and a receive port for
-/// one message. Alternates `next_fit` queries until neither moves the
-/// start by more than `EPS`. Generic over [`BusyTimeline`] so plain sets
+/// A `τ ≥ ready` such that `[τ, τ + dur)` is free in each of the `n ≥ 1`
+/// timelines `timeline(0)`, …, `timeline(n − 1)` (to within `EPS`): the
+/// window a message needs on every channel it holds. Each pass fits the
+/// timelines in order, each from the previous one's start, and the search
+/// stops once the timelines after the first leave the first one's fit in
+/// place (to within `EPS`). Generic over [`BusyTimeline`] so plain sets
 /// and probe-time overlays compose.
 ///
-/// The result is a common fit, but not always the least one: `next_fit`
-/// is not monotone in `ready` ([`IntervalSet::fit_lower_bound`]), so a
-/// start within `2·EPS` of a busy interval's end can be passed over. With
-/// busy intervals `[0, 10)` and `[10.9999987, 20)` against an empty
+/// `next_fit` is idempotent and moves a start by 0 or by more than `EPS`,
+/// so the result is a fit in every timeline and one more full pass returns
+/// it unchanged. It is a common fit, but not always the least one:
+/// `next_fit` is not monotone in `ready` ([`IntervalSet::fit_lower_bound`]),
+/// so a start within `2·EPS` of a busy interval's end can be passed over.
+/// With busy intervals `[0, 10)` and `[10.9999987, 20)` against an empty
 /// timeline, a 1-long message ready at 5 fits at 20, although
 /// `10 − 0.5·EPS` fits both timelines.
-pub fn earliest_common_fit<A: BusyTimeline + ?Sized, B: BusyTimeline + ?Sized>(
-    a: &A,
-    b: &B,
+pub fn common_fit<T: BusyTimeline>(
+    n: usize,
+    timeline: impl Fn(usize) -> T,
     ready: f64,
     dur: f64,
 ) -> f64 {
+    debug_assert!(n > 0, "a common fit needs a timeline");
     let mut t = ready;
     loop {
-        let t1 = a.next_fit(t, dur);
-        let t2 = b.next_fit(t1, dur);
-        if (t2 - t1).abs() <= EPS {
-            return t2;
+        let first = timeline(0).next_fit(t, dur);
+        t = (1..n).fold(first, |t, i| timeline(i).next_fit(t, dur));
+        if (t - first).abs() <= EPS {
+            return t;
         }
-        t = t2;
     }
 }
 
-/// Per-processor bucket index over busy timelines: one [`IntervalSet`] per
-/// processor, addressed by processor index.
+/// [`common_fit`] over two timelines, the send and receive port of a
+/// message on a platform without links.
+pub fn earliest_common_fit<T: BusyTimeline + ?Sized>(a: &T, b: &T, ready: f64, dur: f64) -> f64 {
+    common_fit(2, |i| if i == 0 { a } else { b }, ready, dur)
+}
+
+/// Bucket index over busy timelines: one [`IntervalSet`] per processor or
+/// channel, addressed by index.
 ///
-/// The engine keeps three of these (CPU, send port, receive port). All
-/// probe-phase queries go through [`IntervalIndex::overlay`]; commit and
-/// undo mutate a single bucket via [`IntervalIndex::insert`] /
-/// [`IntervalIndex::remove`].
+/// The engine keeps two of these (CPU per processor, and one over the
+/// channels of `Platform::channels`). All probe-phase queries go through
+/// [`IntervalIndex::overlay`]; commit and undo mutate a single bucket via
+/// [`IntervalIndex::insert`] / [`IntervalIndex::remove`].
 #[derive(Debug, Clone, Default)]
 pub struct IntervalIndex {
     buckets: Vec<IntervalSet>,

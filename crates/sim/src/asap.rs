@@ -4,20 +4,18 @@
 //! admitted (`k·Δ`), (b) for every in-edge at least one copy of the input
 //! has arrived (active replication delivers identical data), and (c) its
 //! processor is free. Messages follow the schedule's communication
-//! structure and contend for send/receive ports under the one-port model
-//! (FIFO by readiness). Crashed processors finish nothing and send nothing
-//! from the crash time onward.
+//! structure and hold the channels [`Platform::channels`] names — the
+//! sender's send port, the receiver's receive port and, on a `Contended`
+//! platform, every physical link of the route — for their whole transfer,
+//! FIFO by readiness: the placement engine's reservation rule, so
+//! transfers sharing a link serialize even between distinct port pairs.
+//! Crashed processors finish nothing and send nothing from the crash time
+//! onward.
 //!
 //! [`asap`] replays a [`CrashTrace`] with per-processor crash times under
 //! an online [`RecoveryPolicy`]; the fixed-set crash model (all failures
 //! at one instant) is the trace [`CrashTrace::from_crash_set`] under
-//! [`RecoveryPolicy::FailStop`]. When the platform models routed
-//! communication (`Contended`), replay additionally charges **link
-//! contention**: a message holds every physical link on its route for its
-//! whole transfer window, so transfers sharing a link serialize even
-//! between distinct port pairs — mirroring the placement engine's
-//! reservation discipline. Matrix and `Uniform`-mode platforms replay
-//! event-identically to the pre-routing engine. Under
+//! [`RecoveryPolicy::FailStop`]. Under
 //! [`RecoveryPolicy::Reroute`], an in-edge whose scheduled sources have
 //! all died is re-routed mid-stream to a surviving replica of the
 //! predecessor task: re-route messages are injected into the event world
@@ -158,12 +156,11 @@ fn crash_key(trace: &CrashTrace, u: usize) -> f64 {
 }
 
 /// Execute the schedule ASAP under a crash trace and recovery policy.
-/// Returns per-item latency measurements. The platform prices re-route
-/// messages between processor pairs the schedule never planned a transfer
-/// for, and routes messages over its links when it is `Contended`.
+/// Returns per-item latency measurements. The platform prices transfers,
+/// re-route messages included, and names the channels each one holds.
 ///
-/// Panics if `cfg.items == 0` or the trace covers fewer processors than
-/// the schedule uses.
+/// Panics if `cfg.items == 0`, or if the trace or the platform covers
+/// fewer processors than the schedule uses.
 pub fn asap(g: &TaskGraph, p: &Platform, sched: &Schedule, cfg: &TraceConfig) -> SimReport {
     Runner::new(g, p, sched, cfg.items, &cfg.trace, cfg.policy).run()
 }
@@ -205,12 +202,9 @@ struct Runner<'a> {
     job_scheduled: Vec<bool>,
     produced: Vec<bool>,
     proc_free: Vec<f64>,
-    send_free: Vec<f64>,
-    recv_free: Vec<f64>,
-    /// Next-free time of each physical link (empty unless the platform is
-    /// routed: ASAP keeps scalar horizons, not interval sets, because
-    /// replay only ever appends at the FIFO frontier).
-    link_free: Vec<f64>,
+    /// Next-free time of each channel of the platform (a scalar horizon,
+    /// not an interval set: replay only ever appends at the FIFO frontier).
+    chan_free: Vec<f64>,
     /// Events after the current instant.
     heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
     /// Events pushed at the current instant, in push (= key) order.
@@ -246,6 +240,11 @@ impl<'a> Runner<'a> {
             trace.num_procs() >= m,
             "trace covers {} processors, schedule uses {m}",
             trace.num_procs()
+        );
+        assert!(
+            platform.num_procs() >= m,
+            "platform has {} processors, schedule uses {m}",
+            platform.num_procs()
         );
         let rep_of = |t: ltf_graph::TaskId, c: u8| ReplicaId::new(t, c).dense(nrep);
 
@@ -355,9 +354,7 @@ impl<'a> Runner<'a> {
             job_scheduled: vec![false; n_rep * items],
             produced: vec![false; n_rep * items],
             proc_free: vec![0.0; m],
-            send_free: vec![0.0; m],
-            recv_free: vec![0.0; m],
-            link_free: vec![0.0; platform.num_links()],
+            chan_free: vec![0.0; platform.num_channels()],
             heap: BinaryHeap::new(),
             fifo: VecDeque::new(),
             admit: Admissions {
@@ -614,30 +611,16 @@ impl<'a> Runner<'a> {
             let m = &self.msgs[ev as usize];
             (m.src_proc, m.dst_proc, m.dur)
         };
-        let mut start = now.max(self.send_free[h]).max(self.recv_free[u]);
-        // Routed platforms: the transfer also waits for — and then holds —
-        // every physical link on its route (circuit-style, like the
-        // placement engine's reservations).
-        // `link_free` is empty unless the platform is routed, which spares
-        // matrix platforms a `route` call per message.
-        let route = if self.link_free.is_empty() {
-            &[]
-        } else {
-            let route = self.platform.route(ProcId(h as u16), ProcId(u as u16));
-            for &l in route {
-                start = start.max(self.link_free[l.index()]);
-            }
-            route
-        };
+        // The transfer waits for, then holds, every channel it needs.
+        let ch = self.platform.channels(ProcId(h as u16), ProcId(u as u16));
+        let start = ch.iter().fold(now, |t, c| t.max(self.chan_free[c]));
         if self.crashed(h, start) {
             // Sender dead before transmission.
             self.on_msg_cut(ev as usize, item as usize, start);
             return;
         }
-        self.send_free[h] = start + dur;
-        self.recv_free[u] = start + dur;
-        for &l in route {
-            self.link_free[l.index()] = start + dur;
+        for c in ch.iter() {
+            self.chan_free[c] = start + dur;
         }
         self.push(start + dur, Event::MsgArrive { ev, item });
     }
