@@ -9,8 +9,9 @@
 //!    `C^O_u ≤ Δ`;
 //! 3. communication structure: every non-entry replica has at least one
 //!    recorded source per in-edge; every cross-processor source pair has
-//!    exactly one scheduled message of the right duration; co-located pairs
-//!    have none;
+//!    exactly one scheduled message of the right duration, unless the
+//!    transfer takes at most `EPS` (a zero volume or a zero delay), when it
+//!    may have none; co-located pairs have none;
 //! 4. causality: a message starts after its producer finishes and arrives
 //!    before its consumer starts; a replica runs for `E(t)/s_u`;
 //! 5. one-port: messages sharing a send port or a receive port never
@@ -227,12 +228,19 @@ pub fn validate(g: &TaskGraph, p: &Platform, sched: &Schedule) -> Result<(), Vec
                                 }
                                 continue;
                             }
+                            let want = p.comm_time(g.edge(eid).volume, h, u);
                             match by_pair.get(&(r.dense(nrep), src.dense(nrep), eid.0)) {
+                                // A transfer that takes no time needs no
+                                // message: checked like a co-located pair.
+                                None if want <= EPS => {
+                                    if sched.finish(src) > rs + EPS {
+                                        out.push(Violation::ArrivalAfterStart { dst: r, src });
+                                    }
+                                }
                                 None => out.push(Violation::MissingCommEvent { dst: r, src }),
                                 Some(&i) => {
                                     matched[i] = true;
                                     let ev = sched.comm_events()[i];
-                                    let want = p.comm_time(g.edge(eid).volume, h, u);
                                     if (ev.duration() - want).abs() > EPS {
                                         out.push(Violation::WrongCommDuration { dst: r, src });
                                     }

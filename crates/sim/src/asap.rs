@@ -9,8 +9,10 @@
 //! platform, every physical link of the route — for their whole transfer,
 //! FIFO by readiness: the placement engine's reservation rule, so
 //! transfers sharing a link serialize even between distinct port pairs.
-//! Crashed processors finish nothing and send nothing from the crash time
-//! onward.
+//! A transfer that takes at most `EPS`, like one between co-located
+//! replicas, is a local delivery: it holds no channel, as the placement
+//! engine plans none for it. Crashed processors finish nothing and send
+//! nothing from the crash time onward.
 //!
 //! [`asap`] replays a [`CrashTrace`] with per-processor crash times under
 //! an online [`RecoveryPolicy`]; the fixed-set crash model (all failures
@@ -65,7 +67,7 @@ use crate::fault::{CrashTrace, RecoveryPolicy, TraceConfig};
 use crate::report::SimReport;
 use ltf_graph::{EdgeId, TaskGraph};
 use ltf_platform::{Platform, ProcId};
-use ltf_schedule::{ReplicaId, Schedule};
+use ltf_schedule::{ReplicaId, Schedule, EPS};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -187,7 +189,8 @@ struct Runner<'a> {
     /// scans the slot — the first crash event at or after `dead_at`
     /// ([`NO_SCAN`] when there is none, or [`EVERY_SCAN`]).
     scan_by: Vec<u32>,
-    /// Per source replica, local (same-processor) deliveries: (dst, slot).
+    /// Per source replica, local deliveries (same processor, or a
+    /// transfer of at most `EPS`): (dst, slot).
     local_out: Vec<Vec<(u32, u32)>>,
     /// Per source replica, scheduled outgoing message ids.
     out_msgs: Vec<Vec<u32>>,
@@ -271,19 +274,20 @@ impl<'a> Runner<'a> {
         let mut scan_by = vec![EVERY_SCAN; n_rep * max_deg];
         let mut local_out = vec![Vec::<(u32, u32)>::new(); n_rep];
         let mut consumers = vec![Vec::<(u32, u32)>::new(); g.num_tasks()];
+        let proc = |r: usize| ProcId(proc_of[r] as u16);
         for t in g.tasks() {
             for c in 0..nrep as u8 {
                 let r = rep_of(t, c);
                 for choice in sched.sources(ReplicaId::new(t, c)) {
-                    let pred = g.edge(choice.edge).src;
+                    let e = g.edge(choice.edge);
                     let slot = slot_of(&slot_edges[r], choice.edge.0);
-                    consumers[pred.index()].push((r as u32, slot));
+                    consumers[e.src.index()].push((r as u32, slot));
                     let si = r * max_deg + slot as usize;
                     scan_by[si] = NO_SCAN;
                     for &sc in &choice.sources {
-                        let src = rep_of(pred, sc);
+                        let src = rep_of(e.src, sc);
                         dead_at[si] = dead_at[si].max(trace.crash_time(proc_of[src]));
-                        if proc_of[src] == proc_of[r] {
+                        if platform.comm_time(e.volume, proc(src), proc(r)) <= EPS {
                             local_out[src].push((r as u32, slot));
                         }
                     }
@@ -477,14 +481,15 @@ impl<'a> Runner<'a> {
         }
         let Some(src) = pick else { return };
         let src_proc = self.proc_of[src];
-        if src_proc == dst_proc {
-            self.deliver(dst, slot, item, now);
-            return;
-        }
         let vol = self.g.edge(EdgeId(edge)).volume;
         let dur = self
             .platform
             .comm_time(vol, ProcId(src_proc as u16), ProcId(dst_proc as u16));
+        if dur <= EPS {
+            // Co-located, or a transfer that takes no time.
+            self.deliver(dst, slot, item, now);
+            return;
+        }
         let mi = self.msgs.len() as u32;
         self.msgs.push(Msg {
             dst_rep: dst as u32,
@@ -1094,6 +1099,30 @@ mod tests {
             &[25.0, inf, 45.0, inf],
             RecoveryPolicy::Reroute,
             &want(&[9.0, 9.0, 12.0, 14.0, 15.0, f64::NAN], 10.0, 55.0),
+        );
+    }
+
+    /// A re-route over a pair whose transfer takes no time is a local
+    /// delivery at the producer's finish. P1 is dead from the start, so
+    /// t1^0 on P3 is fed from t0^1 on P2, and the P2 → P3 delay is 0: t1^0
+    /// runs 4..6. As a 0-long message the re-route would queue behind lane
+    /// 1's transfer on P2's send port (4..7) and every item would take 9.
+    #[test]
+    fn zero_cost_reroute_is_delivered_locally() {
+        let (g, _, s) = sample();
+        let mut delays = vec![1.0; 16];
+        for (i, d) in delays.iter_mut().enumerate() {
+            if i % 5 == 0 || i == 4 + 2 {
+                *d = 0.0; // the diagonal, and P2 → P3
+            }
+        }
+        let p = Platform::from_parts(vec![1.0; 4], delays);
+        let inf = f64::INFINITY;
+        assert_replay(
+            &(g, p, s),
+            &[0.0, inf, inf, inf],
+            RecoveryPolicy::Reroute,
+            &want(&[6.0; 4], 10.0, 39.0),
         );
     }
 

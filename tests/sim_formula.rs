@@ -2,8 +2,10 @@
 //! `L = (2S − 1)/T`, the effective-stage failure analysis, and the two
 //! simulator disciplines.
 
+use ltf_sched::baselines::{full_solver, FULL};
 use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
 use ltf_sched::graph::generate::{layered, LayeredConfig};
+use ltf_sched::graph::GraphBuilder;
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{failures, CrashSet};
 use ltf_sched::sim::{asap, synchronous, CrashTrace, RecoveryPolicy, SimReport, TraceConfig};
@@ -157,4 +159,51 @@ fn asap_single_crash_from_start_loses_nothing() {
         );
         assert_eq!(run.produced(), 8, "a single crash must be masked");
     }
+}
+
+/// A transfer that takes no time — a zero-volume edge, or a zero-delay
+/// pair — is free in every heuristic: no message, data ready at the
+/// producer's finish. Without failures, ASAP must still feed the consumer
+/// and produce every item, as the synchronous replay does.
+#[test]
+fn asap_delivers_zero_cost_transfers_for_every_heuristic() {
+    let fork = |volume| {
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(4.0);
+        for _ in 0..2 {
+            let t = b.add_task(4.0);
+            b.add_edge(a, t, volume);
+        }
+        b.build().unwrap()
+    };
+    let inputs = [
+        ("zero-volume", fork(0.0), Platform::homogeneous(3, 1.0, 1.0)),
+        ("zero-delay", fork(1.0), Platform::homogeneous(3, 1.0, 0.0)),
+    ];
+    let items = 8;
+    let never = TraceConfig::new(items, CrashTrace::never(3), RecoveryPolicy::FailStop);
+    let mut replays = 0;
+    for (name, g, p) in &inputs {
+        let solver = full_solver(g, p);
+        for h in FULL {
+            for eps in [0u8, 1] {
+                let Ok(sol) = solver.solve(h.name(), &AlgoConfig::new(eps, 10.0)) else {
+                    continue;
+                };
+                let what = format!("{} on {name} (ε={eps})", h.name());
+                assert_eq!(
+                    synchronous(g, &sol.schedule, &never).produced(),
+                    items,
+                    "{what}"
+                );
+                assert_eq!(
+                    asap(g, p, &sol.schedule, &never).produced(),
+                    items,
+                    "{what}"
+                );
+                replays += 1;
+            }
+        }
+    }
+    assert!(replays >= 16, "only {replays} feasible combinations");
 }

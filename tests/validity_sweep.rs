@@ -1,12 +1,13 @@
 //! Structural validity and fault-tolerance guarantees across graph shapes,
 //! replication degrees, and both heuristics.
 
+use ltf_sched::baselines::{full_solver, FULL};
 use ltf_sched::core::{AlgoConfig, AlgoKind, PreparedInstance};
 use ltf_sched::graph::generate::{
     fork_join, in_tree, layered, out_tree, pipeline, series_parallel, LayeredConfig,
     SeriesParallelConfig,
 };
-use ltf_sched::graph::TaskGraph;
+use ltf_sched::graph::{GraphBuilder, TaskGraph};
 use ltf_sched::platform::Platform;
 use ltf_sched::schedule::{failures, validate, CrashSet};
 use rand::rngs::StdRng;
@@ -71,6 +72,45 @@ fn schedules_validate_across_shapes_and_epsilons() {
         }
     }
     assert!(checked >= 24, "only {checked} feasible combinations");
+}
+
+/// One task forking to two over transfers that take no time: zero-volume
+/// edges on a unit-delay platform, and unit-volume edges on a zero-delay
+/// platform. Every heuristic treats such a cross-processor pair as free
+/// (no message, data ready at the producer's finish).
+fn zero_cost_forks() -> Vec<(&'static str, TaskGraph, Platform)> {
+    let fork = |volume| {
+        let mut b = GraphBuilder::new();
+        let a = b.add_task(4.0);
+        for _ in 0..2 {
+            let t = b.add_task(4.0);
+            b.add_edge(a, t, volume);
+        }
+        b.build().unwrap()
+    };
+    vec![
+        ("zero-volume", fork(0.0), Platform::homogeneous(3, 1.0, 1.0)),
+        ("zero-delay", fork(1.0), Platform::homogeneous(3, 1.0, 0.0)),
+    ]
+}
+
+#[test]
+fn zero_cost_transfers_validate_for_every_heuristic() {
+    let mut checked = 0;
+    for (name, g, p) in zero_cost_forks() {
+        let solver = full_solver(&g, &p);
+        for h in FULL {
+            for eps in [0u8, 1] {
+                let Ok(sol) = solver.solve(h.name(), &AlgoConfig::new(eps, 10.0)) else {
+                    continue;
+                };
+                validate(&g, &p, &sol.schedule)
+                    .unwrap_or_else(|v| panic!("{} on {name} (ε={eps}) invalid: {v:?}", h.name()));
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 16, "only {checked} feasible combinations");
 }
 
 #[test]
