@@ -787,40 +787,57 @@ mod tests {
 
     /// The steady-state LTF placement sweep — plan building, bounding and
     /// probing the candidates, incumbent promotion — performs zero heap
-    /// allocations once the scratch arena is warm.
+    /// allocations once the scratch arena is warm: on a matrix platform,
+    /// and on a Contended chain, where every message also holds the
+    /// channel slots of its route links.
     #[test]
     fn ltf_placement_sweep_allocates_nothing_when_warm() {
-        let (g, [a, c, t]) = join_graph();
-        let p = Platform::homogeneous(4, 1.0, 1.0);
-        let cfg = AlgoConfig::new(1, 100.0);
-        let mut engine = Engine::new(&g, &p, &cfg);
-        let mut s = PlaceScratch::default();
-        let budget = p.num_procs().div_ceil(engine.nrep) as u32;
+        let chain = ltf_platform::Topology::chain(vec![1.0; 4], 1.0)
+            .into_contended_platform()
+            .unwrap();
+        for (label, p) in [
+            ("matrix", Platform::homogeneous(4, 1.0, 1.0)),
+            ("chain", chain),
+        ] {
+            let (g, [a, c, t]) = join_graph();
+            let cfg = AlgoConfig::new(1, 100.0);
+            let mut engine = Engine::new(&g, &p, &cfg);
+            let mut s = PlaceScratch::default();
+            let budget = p.num_procs().div_ceil(engine.nrep) as u32;
 
-        // Place both copies of both entry tasks through the real path.
-        for task in [a, c] {
-            let mut ctx = LtfCtx::new(task);
-            for copy in 0..engine.nrep as u8 {
-                assert!(ltf_best_placement(
-                    &engine, &ctx, copy, budget, true, &mut s
-                ));
-                ctx.used |= s.best.kill;
-                engine.commit(task, copy, &s.best, &s.best_plan);
+            // Place both copies of both entry tasks through the real path.
+            for task in [a, c] {
+                let mut ctx = LtfCtx::new(task);
+                for copy in 0..engine.nrep as u8 {
+                    assert!(ltf_best_placement(
+                        &engine, &ctx, copy, budget, true, &mut s
+                    ));
+                    ctx.used |= s.best.kill;
+                    engine.commit(task, copy, &s.best, &s.best_plan);
+                }
             }
-        }
 
-        // Warm the scratch on the join task, then measure an identical
-        // (read-only) sweep. Two warm-up sweeps: the bound can skip the
-        // probes that would warm one of the two probe buffers, and an odd
-        // number of promotions swaps the buffers' roles between sweeps.
-        let ctx = LtfCtx::new(t);
-        for _ in 0..2 {
-            assert!(ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
+            // Warm the scratch on the join task, then measure an identical
+            // (read-only) sweep. Two warm-up sweeps: the bound can skip the
+            // probes that would warm one of the two probe buffers, and an
+            // odd number of promotions swaps the buffers' roles between
+            // sweeps.
+            let ctx = LtfCtx::new(t);
+            for _ in 0..2 {
+                assert!(ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
+            }
+            let (allocs, found) =
+                measure(|| ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
+            assert!(found);
+            assert!(
+                s.best.num_planned() > 0,
+                "{label}: the join receives no message"
+            );
+            assert_eq!(
+                allocs, 0,
+                "{label}: steady-state LTF probe sweep hit the heap"
+            );
         }
-        let (allocs, found) =
-            measure(|| ltf_best_placement(&engine, &ctx, 0, budget, true, &mut s));
-        assert!(found);
-        assert_eq!(allocs, 0, "steady-state LTF probe sweep hit the heap");
     }
 
     /// A full R-LTF run allocates a bounded (small-constant-per-replica)

@@ -4,7 +4,7 @@
 //! committed state must match a from-scratch rebuild.
 
 use ltf_schedule::intervals::earliest_common_fit;
-use ltf_schedule::{BusyTimeline, IntervalIndex, IntervalSet, OverlayDelta};
+use ltf_schedule::{BusyTimeline, IntervalIndex, IntervalSet, OverlayDelta, OverlayView, EPS};
 use proptest::prelude::*;
 
 const BUCKETS: usize = 4;
@@ -187,7 +187,10 @@ proptest! {
 
     /// `fit_lower_bound(ready)` never exceeds a fit from any later ready
     /// time, on timelines whose gaps sit within `EPS` of the message
-    /// length (where `next_fit` itself is not monotone).
+    /// length (where `next_fit` itself is not monotone). On the same
+    /// timelines, as plain sets and as overlays, `next_fit` is idempotent
+    /// and moves its start by 0 or by more than `EPS`: the two facts that
+    /// make `common_fit`'s stop rule a fixpoint of every timeline.
     #[test]
     fn fit_lower_bound_is_below_every_later_fit(
         reqs in prop::collection::vec((0.0f64..30.0, 0.2f64..2.0), 0..10),
@@ -209,8 +212,21 @@ proptest! {
             .iter()
             .map(|&d| ready + d)
             .chain(ends.iter().map(|&e| e + jitter).filter(|&r| r >= ready));
-        for r in candidates {
+        let (base, delta): (Vec<_>, Vec<_>) =
+            s.intervals().iter().enumerate().partition(|(i, _)| i % 2 == 0);
+        let mut base_set = IntervalSet::new();
+        for (_, &(a, b)) in base {
+            base_set.insert(a, b);
+        }
+        let delta: Vec<(f64, f64)> = delta.into_iter().map(|(_, &iv)| iv).collect();
+        let overlay = OverlayView::new(&base_set, &delta);
+        for r in candidates.chain([ready]) {
             prop_assert!(bound <= s.next_fit(r, dur), "ready {} r {}", ready, r);
+            for tl in [&s as &dyn BusyTimeline, &overlay] {
+                let t = tl.next_fit(r, dur);
+                prop_assert_eq!(tl.next_fit(t, dur), t, "not idempotent from {}", r);
+                prop_assert!(t == r || t - r > EPS, "moved {} by {}", r, t - r);
+            }
         }
     }
 }

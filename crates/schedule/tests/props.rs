@@ -2,9 +2,33 @@
 
 use ltf_platform::ProcId;
 use ltf_schedule::failures::{all_crash_sets, sample_crash_set};
-use ltf_schedule::intervals::earliest_common_fit;
-use ltf_schedule::{CrashSet, IntervalSet};
+use ltf_schedule::intervals::{common_fit, earliest_common_fit};
+use ltf_schedule::{BusyTimeline, CrashSet, IntervalSet, OverlayView};
 use proptest::prelude::*;
+
+/// A timeline holding each `(ready, len)` request at its first fit.
+fn fill(reqs: &[(f64, f64)]) -> IntervalSet {
+    let mut s = IntervalSet::new();
+    for &(start, len) in reqs {
+        let t = s.next_fit(start, len);
+        s.insert(t, t + len);
+    }
+    s
+}
+
+/// `s` split into a base of its even-indexed intervals and a delta of the
+/// odd-indexed ones: an overlay of the same busy time.
+fn split(s: &IntervalSet) -> (IntervalSet, Vec<(f64, f64)>) {
+    let (mut base, mut delta) = (IntervalSet::new(), Vec::new());
+    for (i, &(a, b)) in s.intervals().iter().enumerate() {
+        if i % 2 == 0 {
+            base.insert(a, b);
+        } else {
+            delta.push((a, b));
+        }
+    }
+    (base, delta)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -56,27 +80,45 @@ proptest! {
         }
     }
 
+    /// The fit of a message holding 2–5 channels, each a plain set or an
+    /// overlay of the same busy time: at or after `ready`, free in every
+    /// timeline, a fixpoint of one more full pass, and at two timelines
+    /// the two-timeline fit itself.
     #[test]
     fn common_fit_is_free_in_both(
-        busy_a in prop::collection::vec((0.0f64..30.0, 0.2f64..2.0), 0..10),
-        busy_b in prop::collection::vec((0.0f64..30.0, 0.2f64..2.0), 0..10),
+        busy in prop::collection::vec(
+            (prop::collection::vec((0.0f64..30.0, 0.2f64..2.0), 0..10), any::<bool>()),
+            2..6,
+        ),
         ready in 0.0f64..35.0,
         dur in 0.1f64..3.0,
     ) {
-        let mut a = IntervalSet::new();
-        for (start, len) in busy_a {
-            let t = a.next_fit(start, len);
-            a.insert(t, t + len);
-        }
-        let mut b = IntervalSet::new();
-        for (start, len) in busy_b {
-            let t = b.next_fit(start, len);
-            b.insert(t, t + len);
-        }
-        let t = earliest_common_fit(&a, &b, ready, dur);
+        let sets: Vec<IntervalSet> = busy.iter().map(|(reqs, _)| fill(reqs)).collect();
+        let parts: Vec<_> = sets.iter().map(split).collect();
+        let views: Vec<OverlayView> =
+            parts.iter().map(|(base, delta)| OverlayView::new(base, delta)).collect();
+        let timelines: Vec<&dyn BusyTimeline> = busy
+            .iter()
+            .enumerate()
+            .map(|(i, (_, overlay))| {
+                if *overlay {
+                    &views[i] as &dyn BusyTimeline
+                } else {
+                    &sets[i]
+                }
+            })
+            .collect();
+        let n = timelines.len();
+        let t = common_fit(n, |i| timelines[i], ready, dur);
         prop_assert!(t + 1e-12 >= ready);
-        prop_assert!(a.is_free(t, t + dur));
-        prop_assert!(b.is_free(t, t + dur));
+        for s in &sets {
+            prop_assert!(s.is_free(t, t + dur));
+        }
+        let again = timelines.iter().fold(t, |t, tl| tl.next_fit(t, dur));
+        prop_assert_eq!(again, t);
+        if n == 2 {
+            prop_assert_eq!(t, earliest_common_fit(timelines[0], timelines[1], ready, dur));
+        }
     }
 
     #[test]
