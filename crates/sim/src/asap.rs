@@ -616,18 +616,26 @@ impl<'a> Runner<'a> {
             let m = &self.msgs[ev as usize];
             (m.src_proc, m.dst_proc, m.dur)
         };
-        // The transfer waits for, then holds, every channel it needs.
+        // The transfer waits for, then holds, every channel it needs. The
+        // ports are handled apart from the links: one chained iterator
+        // over all of them cost about 5 % of an ASAP SLO campaign's CPU
+        // time (2-core x86-64, 16 alternated pairs).
         let ch = self.platform.channels(ProcId(h as u16), ProcId(u as u16));
-        let start = ch.iter().fold(now, |t, c| t.max(self.chan_free[c]));
+        let free = &self.chan_free;
+        let ports = now.max(free[ch.send]).max(free[ch.recv]);
+        let start = ch.links().fold(ports, |t, c| t.max(free[c]));
         if self.crashed(h, start) {
             // Sender dead before transmission.
             self.on_msg_cut(ev as usize, item as usize, start);
             return;
         }
-        for c in ch.iter() {
-            self.chan_free[c] = start + dur;
+        let end = start + dur;
+        self.chan_free[ch.send] = end;
+        self.chan_free[ch.recv] = end;
+        for c in ch.links() {
+            self.chan_free[c] = end;
         }
-        self.push(start + dur, Event::MsgArrive { ev, item });
+        self.push(end, Event::MsgArrive { ev, item });
     }
 
     fn on_msg_arrive(&mut self, ev: u32, item: u32, now: f64) {
