@@ -297,8 +297,8 @@ pub(crate) struct ProbeWorkspace {
     window: PeriodWindow,
 }
 
-/// Tentative reservations on one channel a probe's messages hold. Few per
-/// probe: linear keying beats a channel-sized scratch vector.
+/// Tentative reservations on one channel a probe's messages hold. A probe
+/// holds few, so `ProbeWorkspace::slot` finds them by a linear scan.
 #[derive(Debug)]
 struct ChanSlot {
     chan: usize,
