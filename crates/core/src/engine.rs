@@ -288,6 +288,12 @@ pub(crate) struct ProbeWorkspace {
     /// are in use, the rest keep their buffers for later probes.
     slots: Vec<ChanSlot>,
     live: usize,
+    /// Per channel, `(probe, i)`: the channel holds slot `i` in probe
+    /// number `probe`. Entries of earlier probes are stale, so nothing is
+    /// cleared between probes, and a route link is found without a scan.
+    slot_of: Vec<(u64, u32)>,
+    /// Number of the current probe (the first is 1).
+    probes: u64,
     /// Slot indices of the current message's channels, in
     /// [`Platform::channels`] order (cleared per message, capacity
     /// retained).
@@ -297,8 +303,7 @@ pub(crate) struct ProbeWorkspace {
     window: PeriodWindow,
 }
 
-/// Tentative reservations on one channel a probe's messages hold. A probe
-/// holds few, so `ProbeWorkspace::slot` finds them by a linear scan.
+/// Tentative reservations on one channel a probe's messages hold.
 #[derive(Debug)]
 struct ChanSlot {
     chan: usize,
@@ -314,12 +319,12 @@ impl ProbeWorkspace {
 
     /// Index of the slot for `chan`, reusing retired slots before growing.
     fn slot(&mut self, chan: usize) -> usize {
-        for i in 0..self.live {
-            if self.slots[i].chan == chan {
-                return i;
-            }
+        let (probe, i) = self.slot_of[chan];
+        if probe == self.probes {
+            return i as usize;
         }
         let i = self.live;
+        self.slot_of[chan] = (self.probes, i as u32);
         if i == self.slots.len() {
             self.slots.push(ChanSlot {
                 chan,
@@ -662,7 +667,9 @@ impl<'a> Engine<'a> {
 
         // Every message holds `u`'s receive port, so its slot comes first
         // and stays; its `C^I` is checked once, after the last message.
+        ws.probes += 1;
         ws.live = 0;
+        ws.slot_of.resize(self.p.num_channels(), (0, 0));
         let recv = ws.slot(self.p.channels(u, u).recv);
         let mut ready = 0.0f64;
         let mut stage = 1u32;
